@@ -49,13 +49,11 @@ def _build_hyper(cfg: dict, V: int) -> HyperParameters:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_sampler(cfg: dict, seed_flag: int | None,
-                   record_pi: bool = False) -> SamplerConfig:
+def _build_sampler(cfg: dict, seed_flag: int | None) -> SamplerConfig:
     kwargs = {k: cfg[k] for k in ("n_iter", "burn_in", "thin") if k in cfg}
     seed = seed_flag if seed_flag is not None else cfg.get("seed", 0)
     try:
-        return SamplerConfig(seed=seed, record_pi=record_pi or
-                             cfg.get("record_pi", False), **kwargs)
+        return SamplerConfig(seed=seed, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -129,11 +127,6 @@ def _write_draws_csv(draws: PosteriorDraws, path) -> None:
 
 
 def _cmd_fit(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be positive, got {args.threads}")
-    if args.threads > 1:
-        print("warning: --threads > 1 requested; running sequentially to "
-              "keep results reproducible", file=sys.stderr)
     cfg = dataio.parse_config(args.config) if args.config else {}
     observations, _ = dataio.load_dataset(args.manifest, args.metadata)
     cohort = CohortData.from_observations(observations)
@@ -258,9 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metadata", default=None, help="node metadata CSV")
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; runs "
-                        "sequentially")
     p.add_argument("--format", choices=("binary", "csv"), default="binary",
                    help="csv adds a per-draw summary table")
     p.add_argument("--out-dir", required=True)

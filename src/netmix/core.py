@@ -204,8 +204,13 @@ class ComponentFactors:
         """Edge-wise bilinear form D_l = sum_r lam_r X_vr X_ur."""
         if emap.V != self.V:
             raise ValueError(f"factor V={self.V} != map V={emap.V}")
-        XW = self.X * self.lam
-        return np.einsum("lr,lr->l", XW[emap.rows0], self.X[emap.cols0])
+        return _deviations(self.X * self.lam, self.X)
+
+
+def _deviations(XW: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(..., L) edge-wise forms sum_r XW_vr X_ur of stacks (..., V, R)."""
+    emap = edge_index_map(X.shape[-2])
+    return (XW @ np.swapaxes(X, -1, -2))[..., emap.rows0, emap.cols0]
 
 
 _SIMPLEX_TOL = 1e-10

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,9 +302,8 @@ _INT_KEYS = {"v", "n0", "n1", "h", "r", "n_iter", "burn_in", "thin", "seed",
 _FLOAT_KEYS = {"a0", "a1", "z_mean", "z_var", "mig_a1", "mig_a2",
                "dirichlet_conc", "prior_t1", "shift", "low", "high", "weight",
                "share"}
-_BOOL_KEYS = {"record_pi"}
 _STR_KEYS = {"scenario"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 SCENARIOS = ("prior", "shifted", "null", "clique", "separable", "rank1")
 
@@ -326,10 +326,6 @@ def parse_config(path) -> dict:
                 out[key] = int(value)
             elif key in _FLOAT_KEYS:
                 out[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(value)
-                out[key] = value.lower() in ("true", "1")
             else:
                 out[key] = value
         except ValueError:
@@ -352,8 +348,7 @@ def save_draws(draws: PosteriorDraws, path) -> None:
     """Serialize posterior draws to the versioned binary container.
 
     Byte-identical for identical draws: the header is canonical JSON and
-    arrays are written in a fixed order with explicit dtypes. Recorded
-    per-draw edge probabilities (pi) are not stored; they are recomputable.
+    arrays are written in a fixed order with explicit dtypes.
     """
     arrays = []
     header_arrays = []
@@ -394,24 +389,56 @@ def load_draws(path) -> PosteriorDraws:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"{path}: corrupt archive header") from exc
     off += hlen
-
-    fields = {}
-    listed = [spec["name"] for spec in header.get("arrays", [])]
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise ArchiveError(f"{path}: header needs an 'arrays' list and a 'meta' object")
+    listed = [spec.get("name") if isinstance(spec, dict) else None
+              for spec in header["arrays"]]
     if listed != list(_ARRAY_ORDER):
         raise ArchiveError(f"{path}: unexpected archive contents {listed}")
+    fields = {}
     for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        name, shape = spec["name"], spec.get("shape")
+        try:
+            dtype = np.dtype(str(spec.get("dtype")))
+        except (TypeError, ValueError):
+            dtype = np.dtype(object)
+        if (dtype.kind not in "iuf" or not isinstance(shape, list)
+                or not all(type(d) is int and d >= 0 for d in shape)):
+            raise ArchiveError(f"{path}: array {name!r} has a bad dtype or shape")
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
         if off + nbytes > len(blob):
-            raise ArchiveError(f"{path}: truncated array {spec['name']!r}")
-        arr = np.frombuffer(blob, dtype, count, off).reshape(shape).copy()
-        fields[spec["name"]] = arr
+            raise ArchiveError(f"{path}: truncated array {name!r}")
+        fields[name] = np.frombuffer(blob, dtype, count, off).reshape(shape).copy()
         off += nbytes
     if off != len(blob):
         raise ArchiveError(f"{path}: trailing bytes after arrays")
-    return PosteriorDraws(meta=header["meta"], pi=None, **fields)
+    _check_draw_shapes(path, fields, header["meta"])
+    return PosteriorDraws(meta=header["meta"], **fields)
+
+
+def _check_draw_shapes(path, fields: dict, meta: dict) -> None:
+    """At least one draw, X (K, H, V, R), and every other array and every
+    dimension in meta consistent with X."""
+    X, assignments = fields["X"], fields["assignments"]
+    K, H, V, R = X.shape if X.ndim == 4 else (0, 0, 0, 0)
+    if min(K, H, R) < 1 or V < 2:
+        raise ArchiveError(f"{path}: need at least one draw and X of shape "
+                           f"(K, H, V >= 2, R), got {X.shape}")
+    dims = {"V": V, "H": H, "R": R, "L": V * (V - 1) // 2,
+            "n": assignments.shape[1] if assignments.ndim == 2 else -1}
+    expected = {"Z": (K, dims["L"]), "lam": (K, H, R), "theta": (K, H, R),
+                "nu": (K, 2, H), "pY1": (K,), "T": (K,),
+                "assignments": (K, dims["n"]),
+                "log_joint_trace": (fields["log_joint_trace"].size,)}
+    for name, shape in expected.items():
+        if fields[name].shape != shape:
+            raise ArchiveError(f"{path}: array {name!r} has shape "
+                               f"{fields[name].shape}, expected {shape}")
+    bad = {key: meta[key] for key, value in dims.items() if meta.get(key, value) != value}
+    if bad:
+        raise ArchiveError(f"{path}: meta {bad} disagrees with the array shapes {dims}")
 
 
 # test report artifacts

@@ -9,9 +9,12 @@ becomes Gaussian in (Z, factors). One sweep updates, in order:
 Assignments are drawn with omega collapsed out (plain Bernoulli
 likelihoods) and omega is refreshed immediately afterwards, which together
 amount to a joint draw of (assignments, omega) from their conditional; the
-remaining blocks are standard conjugate conditionals. Factor updates run
-in scaled coordinates Xbar = X sqrt(lambda) so the shrinkage auxiliaries
-theta stay conjugate without changing the similarities.
+remaining blocks are standard conjugate conditionals. The omega block
+returns only the per-component sums W (H, L) that Z and the factors read.
+Factor updates run in scaled coordinates Xbar = X sqrt(lambda) so the
+shrinkage auxiliaries theta stay conjugate without changing the
+similarities. The sweep runs on plain arrays (AugmentedState); parameter
+objects are built only at the boundaries.
 
 All randomness flows through one Generator in a fixed order, so a seeded
 run is reproducible bit for bit.
@@ -19,16 +22,17 @@ run is reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit, gammaln, logsumexp
 
 from .core import (ComponentFactors, MixtureParameters, NetworkObservation,
-                   edge_index_map)
+                   _deviations, edge_index_map)
 from .pg import polya_gamma
-from .priors import HyperParameters, log_prior_density, sample_prior
+from .priors import (HyperParameters, _theta_shapes, log_prior_from_arrays,
+                     sample_prior)
 
 __all__ = [
     "SamplerConfig",
@@ -55,7 +59,6 @@ class SamplerConfig:
     burn_in: int = 1000
     thin: int = 4
     seed: int = 0
-    record_pi: bool = False
 
     def __post_init__(self):
         if self.burn_in < 0 or self.n_iter <= self.burn_in:
@@ -148,121 +151,135 @@ def as_cohort(data) -> CohortData:
 
 @dataclass
 class AugmentedState:
-    """Everything the sweep conditions on: model parameters, shrinkage
-    auxiliaries theta (H, R), component assignments (n,) in 0..H-1, and
-    Polya-Gamma weights omega (n, L)."""
+    """Everything the sweep conditions on: Z (L,), scaled factors
+    Xbar (H, V, R), shrinkage auxiliaries theta (H, R) with lambda =
+    cumprod(1/theta) row-wise, weights nu (2, H), pY1, T, assignments (n,)
+    in 0..H-1, and the deviations D (H, L) of Xbar, so S = Z + D."""
 
-    params: MixtureParameters
+    Z: np.ndarray
+    Xbar: np.ndarray
     theta: np.ndarray
+    nu: np.ndarray
+    pY1: float
+    T: int
     assignments: np.ndarray
-    omega: np.ndarray
+    D: np.ndarray
+
+    @classmethod
+    def from_params(cls, params: MixtureParameters, theta: np.ndarray,
+                    assignments: np.ndarray) -> "AugmentedState":
+        """State of a parameter object; theta is taken as given."""
+        Xbar = np.stack([c.X * np.sqrt(c.lam) for c in params.components])
+        return cls(params.Z.copy(), Xbar, np.array(theta, dtype=np.float64),
+                   np.stack([params.nu0, params.nu1]), params.pY1, params.T,
+                   np.asarray(assignments, dtype=np.int64),
+                   _deviations(Xbar, Xbar))
+
+    @property
+    def lam(self) -> np.ndarray:
+        return np.cumprod(1.0 / self.theta, axis=1)
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.Xbar / np.sqrt(self.lam)[:, None, :]
+
+    def to_params(self) -> MixtureParameters:
+        """The validated parameter object of this state."""
+        comps = tuple(map(ComponentFactors, self.X, self.lam))
+        return MixtureParameters(Z=self.Z, components=comps, nu0=self.nu[0],
+                                 nu1=self.nu[1], pY1=self.pY1, T=self.T)
 
 
-def _component_log_liks(state: AugmentedState, cohort: CohortData) -> np.ndarray:
+def _component_log_liks(S: np.ndarray, cohort: CohortData) -> np.ndarray:
     """(n, H) matrix of log p(a_i | component h), omega marginalized out."""
-    S = state.params.similarities()
-    softplus = np.logaddexp(0.0, S).sum(axis=1)
-    return cohort.A @ S.T - softplus
+    return cohort.A @ S.T - np.logaddexp(0.0, S).sum(axis=1)
 
 
-def update_assignments(state: AugmentedState, data,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Draw assignments from Pr(G_i = h) proportional to nu_{h,y_i} times
-    the component's Bernoulli likelihood of subject i."""
-    cohort = as_cohort(data)
-    loglik = _component_log_liks(state, cohort)
-    lognu = np.full((2, state.params.H), -np.inf)
-    with np.errstate(divide="ignore"):
-        lognu[0] = np.log(state.params.nu0)
-        lognu[1] = np.log(state.params.nu1)
-    logpost = loglik + lognu[cohort.y]
-    logpost -= logsumexp(logpost, axis=1, keepdims=True)
-    probs = np.exp(logpost)
+def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-cdf categorical draw per row of unnormalized probs."""
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(cohort.n)
-    G = np.sum(cum < u[:, None] * cum[:, -1:], axis=1)
-    return np.minimum(G, state.params.H - 1).astype(np.int64)
+    G = np.sum(cum < rng.random(probs.shape[0])[:, None] * cum[:, -1:], axis=1)
+    return np.minimum(G, probs.shape[1] - 1).astype(np.int64)
 
 
-def update_omega(state: AugmentedState, data,
+def update_assignments(S: np.ndarray, nu: np.ndarray, cohort: CohortData,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Draw assignments from Pr(G_i = h) proportional to nu_{y_i,h} times
+    the Bernoulli likelihood of subject i under similarities S_h."""
+    with np.errstate(divide="ignore"):
+        lognu = np.log(nu)
+    logpost = _component_log_liks(S, cohort) + lognu[cohort.y]
+    logpost -= logsumexp(logpost, axis=1, keepdims=True)
+    return _categorical_rows(np.exp(logpost), rng)
+
+
+def update_omega(S: np.ndarray, assignments: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """Draw omega_il ~ PG(1, S_l of subject i's current component)."""
-    cohort = as_cohort(data)
-    S = state.params.similarities()
-    return polya_gamma(S[state.assignments], rng)
+    """Draw omega_il ~ PG(1, S_l of subject i's component) exactly and
+    return its per-component sums W (H, L), W_h = sum_{i: G_i = h} omega_i."""
+    omega = polya_gamma(S[assignments], rng)
+    W = np.zeros_like(S)
+    for h in np.unique(assignments):
+        W[h] = omega[assignments == h].sum(axis=0)
+    return W
 
 
-def update_Z(state: AugmentedState, data, hyper: HyperParameters,
-             rng: np.random.Generator) -> np.ndarray:
+def update_Z(D: np.ndarray, W: np.ndarray, cohort: CohortData,
+             hyper: HyperParameters, rng: np.random.Generator) -> np.ndarray:
     """Conjugate normal update of the shared log-odds, edgewise.
 
-    Posterior precision 1/z_var + sum_i omega_il; posterior mean is
-    variance * (sum_i (a_il - 1/2 - omega_il D_l^{(G_i)}) + z_mean/z_var).
+    Posterior precision 1/z_var + sum_h W_hl; posterior mean is
+    variance * (sum_i (a_il - 1/2) - sum_h W_hl D_hl + z_mean/z_var).
     """
-    cohort = as_cohort(data)
-    emap = edge_index_map(hyper.V)
-    dev = np.stack([c.deviation(emap) for c in state.params.components])
-    prec = 1.0 / hyper.z_var + state.omega.sum(axis=0)
-    resid = ((cohort.A - 0.5).sum(axis=0)
-             - (state.omega * dev[state.assignments]).sum(axis=0))
+    prec = 1.0 / hyper.z_var + W.sum(axis=0)
+    resid = (cohort.A - 0.5).sum(axis=0) - (W * D).sum(axis=0)
     mean = (resid + hyper.z_mean / hyper.z_var) / prec
     return mean + rng.standard_normal(hyper.L) / np.sqrt(prec)
 
 
-def update_factors(state: AugmentedState, data, hyper: HyperParameters,
-                   rng: np.random.Generator) -> tuple[tuple[ComponentFactors, ...],
-                                                      np.ndarray]:
-    """Per-component update of node factors and shrinkage weights.
+def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
+                   W: np.ndarray, assignments: np.ndarray, cohort: CohortData,
+                   hyper: HyperParameters,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component update of the scaled factors and shrinkage weights.
 
-    Works on Xbar = X sqrt(lambda) whose rows are conjugate normal given
-    omega, then refreshes the multiplicative gamma auxiliaries theta
-    (which changes lambda but not Xbar, hence not the similarities), and
-    converts back to X = Xbar / sqrt(lambda).
+    Rows of Xbar are conjugate normal given the omega sums W; theta is
+    refreshed afterwards (which changes lambda but not Xbar, hence not the
+    similarities). Returns new (Xbar, theta).
     """
-    cohort = as_cohort(data)
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
-    Z = state.params.Z
-    shapes = np.full(R, hyper.mig_a2)
-    shapes[0] = hyper.mig_a1
+    shapes = _theta_shapes(hyper)
+    kappa = np.stack([(cohort.A[assignments == h] - 0.5).sum(axis=0)
+                      for h in range(H)]) - Z * W
+    Wm = np.zeros((H, V, V))
+    Wm[:, emap.rows0, emap.cols0] = Wm[:, emap.cols0, emap.rows0] = W
+    Km = np.zeros((H, V, V))
+    Km[:, emap.rows0, emap.cols0] = Km[:, emap.cols0, emap.rows0] = kappa
 
-    new_components = []
-    new_theta = np.empty((H, R))
+    Xbar, theta = Xbar.copy(), theta.copy()
     for h in range(H):
-        comp = state.params.components[h]
-        theta_h = state.theta[h].copy()
+        Xh, theta_h = Xbar[h], theta[h]
         lam = np.cumprod(1.0 / theta_h)
-        Xbar = comp.X * np.sqrt(comp.lam)
-
-        members = np.flatnonzero(state.assignments == h)
-        W = state.omega[members].sum(axis=0)
-        kappa = (cohort.A[members] - 0.5).sum(axis=0) - Z * W
-        Wm = np.zeros((V, V))
-        Km = np.zeros((V, V))
-        Wm[emap.rows0, emap.cols0] = W
-        Wm[emap.cols0, emap.rows0] = W
-        Km[emap.rows0, emap.cols0] = kappa
-        Km[emap.cols0, emap.rows0] = kappa
 
         # node-by-node Gaussian scan; empty components fall back to the
-        # N(0, lambda) prior automatically (W = kappa = 0)
+        # N(0, lambda) prior automatically (W = kappa = 0). With P = C C^T,
+        # x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
         for v in range(V):
-            P = np.diag(1.0 / lam) + Xbar.T @ (Wm[v][:, None] * Xbar)
-            b = Xbar.T @ Km[v]
+            P = np.diag(1.0 / lam) + Xh.T @ (Wm[h, v][:, None] * Xh)
             chol = np.linalg.cholesky(P)
-            mean = np.linalg.solve(P, b)
-            Xbar[v] = mean + solve_triangular(chol.T, rng.standard_normal(R),
-                                              lower=False)
+            half = dtrtrs(chol, Xh.T @ Km[h, v], lower=1)[0]
+            Xh[v] = dtrtrs(chol, half + rng.standard_normal(R), lower=1, trans=1)[0]
 
         # Metropolis column swaps: the likelihood only sees the column sum
         # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on
         # the Gaussian prior ratio alone. Without this the active column can
         # get stuck in a low-lambda slot and the ordering never mixes.
-        col_ss = (Xbar * Xbar).sum(axis=0)
+        col_ss = (Xh * Xh).sum(axis=0)
         for j in range(R - 1):
             log_acc = 0.5 * (1.0 / lam[j] - 1.0 / lam[j + 1]) * (col_ss[j] - col_ss[j + 1])
             if np.log(rng.random()) < log_acc:
-                Xbar[:, [j, j + 1]] = Xbar[:, [j + 1, j]]
+                Xh[:, [j, j + 1]] = Xh[:, [j + 1, j]]
                 col_ss[[j, j + 1]] = col_ss[[j + 1, j]]
 
         # shrinkage scan: theta_m | rest with the other thetas current
@@ -273,12 +290,7 @@ def update_factors(state: AugmentedState, data, hyper: HyperParameters,
             shape = shapes[m] + 0.5 * V * (R - m)
             rate = 1.0 + 0.5 * np.sum(tau[m:] * col_ss[m:])
             theta_h[m] = rng.gamma(shape, 1.0 / rate)
-
-        lam_new = np.cumprod(1.0 / theta_h)
-        new_components.append(ComponentFactors(X=Xbar / np.sqrt(lam_new),
-                                               lam=lam_new))
-        new_theta[h] = theta_h
-    return tuple(new_components), new_theta
+    return Xbar, theta
 
 
 def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
@@ -288,14 +300,14 @@ def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
                  + np.sum(gammaln(conc + counts) - gammaln(conc)))
 
 
-def update_weights_and_T(state: AugmentedState, data, hyper: HyperParameters,
+def update_weights_and_T(assignments: np.ndarray, cohort: CohortData,
+                         hyper: HyperParameters,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Joint draw of (T, nu0, nu1) given assignments, with nu collapsed out
     of the T step (Dirichlet-multinomial marginals)."""
-    cohort = as_cohort(data)
     H = hyper.H
-    counts0 = np.bincount(state.assignments[cohort.y == 0], minlength=H).astype(float)
-    counts1 = np.bincount(state.assignments[cohort.y == 1], minlength=H).astype(float)
+    counts0 = np.bincount(assignments[cohort.y == 0], minlength=H).astype(float)
+    counts1 = np.bincount(assignments[cohort.y == 1], minlength=H).astype(float)
     conc = hyper.dirichlet_conc
     with np.errstate(divide="ignore"):
         prior_t1 = float(np.log(hyper.prior_T1))
@@ -316,47 +328,41 @@ def update_weights_and_T(state: AugmentedState, data, hyper: HyperParameters,
     return nu0, nu1, T
 
 
-def update_pY(state: AugmentedState, data, hyper: HyperParameters,
+def update_pY(cohort: CohortData, hyper: HyperParameters,
               rng: np.random.Generator) -> float:
     """Beta(a1 + n1, a0 + n0) draw for the group-1 prevalence."""
-    cohort = as_cohort(data)
     return float(rng.beta(hyper.a1 + cohort.n1, hyper.a0 + cohort.n0))
 
 
-def gibbs_sweep(state: AugmentedState, data, hyper: HyperParameters,
+def gibbs_sweep(state: AugmentedState, cohort: CohortData, hyper: HyperParameters,
                 rng: np.random.Generator) -> AugmentedState:
     """One full systematic scan; returns a new state."""
-    cohort = as_cohort(data)
-    G = update_assignments(state, cohort, rng)
-    state = replace(state, assignments=G)
-    omega = update_omega(state, cohort, rng)
-    state = replace(state, omega=omega)
-    Z = update_Z(state, cohort, hyper, rng)
-    state = replace(state, params=replace(state.params, Z=Z))
-    components, theta = update_factors(state, cohort, hyper, rng)
-    state = replace(state,
-                    params=replace(state.params, components=components),
-                    theta=theta)
-    nu0, nu1, T = update_weights_and_T(state, cohort, hyper, rng)
-    pY1 = update_pY(state, cohort, hyper, rng)
-    params = MixtureParameters(Z=state.params.Z, components=components,
-                               nu0=nu0, nu1=nu1, pY1=pY1, T=T)
-    return AugmentedState(params=params, theta=theta, assignments=G, omega=omega)
+    S = state.Z + state.D
+    G = update_assignments(S, state.nu, cohort, rng)
+    W = update_omega(S, G, rng)
+    Z = update_Z(state.D, W, cohort, hyper, rng)
+    Xbar, theta = update_factors(state.Xbar, state.theta, Z, W, G, cohort,
+                                 hyper, rng)
+    nu0, nu1, T = update_weights_and_T(G, cohort, hyper, rng)
+    pY1 = update_pY(cohort, hyper, rng)
+    return AugmentedState(Z=Z, Xbar=Xbar, theta=theta, nu=np.stack([nu0, nu1]),
+                          pY1=pY1, T=T, assignments=G,
+                          D=_deviations(Xbar, Xbar))
 
 
-def log_joint(state: AugmentedState, data, hyper: HyperParameters) -> float:
+def log_joint(state: AugmentedState, cohort: CohortData,
+              hyper: HyperParameters) -> float:
     """Complete-data log joint of (params, assignments, labels, networks),
     with omega marginalized out. Used for the convergence trace."""
-    cohort = as_cohort(data)
-    lp = log_prior_density(state.params, state.theta, hyper)
-    loglik = _component_log_liks(state, cohort)
+    lp = log_prior_from_arrays(state.Z, state.X, state.theta, state.nu,
+                               state.pY1, state.T, hyper)
+    loglik = _component_log_liks(state.Z + state.D, cohort)
     lp += float(loglik[np.arange(cohort.n), state.assignments].sum())
-    nu_by_y = np.stack([state.params.nu0, state.params.nu1])
-    picked = nu_by_y[cohort.y, state.assignments]
+    picked = state.nu[cohort.y, state.assignments]
     with np.errstate(divide="ignore"):
         lp += float(np.log(picked).sum())
-    lp += float(cohort.n1 * np.log(state.params.pY1)
-                + cohort.n0 * np.log1p(-state.params.pY1))
+    lp += float(cohort.n1 * np.log(state.pY1)
+                + cohort.n0 * np.log1p(-state.pY1))
     return lp
 
 
@@ -365,9 +371,9 @@ class PosteriorDraws:
     """Thinned post-burn-in draws, stacked along axis 0.
 
     nu has shape (K, 2, H) with group index first; assignments are stored
-    0-based. pi is populated only when the chain ran with record_pi=True
-    (it is recomputable from Z, X, lam). meta carries the dimensions,
-    hyperparameters, sampler configuration, and the cohort checksum.
+    0-based. Edge probabilities are recomputed from Z, X and lam when
+    needed. meta carries the dimensions, hyperparameters, sampler
+    configuration, and the cohort checksum.
     """
 
     Z: np.ndarray
@@ -380,7 +386,6 @@ class PosteriorDraws:
     assignments: np.ndarray
     log_joint_trace: np.ndarray
     meta: dict
-    pi: np.ndarray | None = None
 
     @property
     def n_draws(self) -> int:
@@ -388,31 +393,10 @@ class PosteriorDraws:
 
     def params_at(self, k: int) -> MixtureParameters:
         """Rebuild the validated parameter object for draw k."""
-        comps = tuple(ComponentFactors(X=self.X[k, h], lam=self.lam[k, h])
-                      for h in range(self.X.shape[1]))
+        comps = tuple(map(ComponentFactors, self.X[k], self.lam[k]))
         return MixtureParameters(Z=self.Z[k], components=comps,
                                  nu0=self.nu[k, 0], nu1=self.nu[k, 1],
                                  pY1=float(self.pY1[k]), T=int(self.T[k]))
-
-    def component_probs(self, k: int) -> np.ndarray:
-        """(H, L) edge probabilities of draw k."""
-        if self.pi is not None:
-            return self.pi[k]
-        return self.params_at(k).edge_probabilities()
-
-
-def _initial_state(cohort: CohortData, hyper: HyperParameters,
-                   rng: np.random.Generator) -> AugmentedState:
-    params, theta = sample_prior(hyper, rng)
-    nu_by_y = np.stack([params.nu0, params.nu1])
-    probs = nu_by_y[cohort.y]
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(cohort.n)
-    G = np.minimum(np.sum(cum < u[:, None] * cum[:, -1:], axis=1),
-                   hyper.H - 1).astype(np.int64)
-    S = params.similarities()
-    omega = polya_gamma(S[G], rng)
-    return AugmentedState(params=params, theta=theta, assignments=G, omega=omega)
 
 
 def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorDraws:
@@ -427,7 +411,9 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
         raise ValueError(f"cohort has V={cohort.V} nodes but "
                          f"hyperparameters say V={hyper.V}")
     rng = np.random.default_rng(config.seed)
-    state = _initial_state(cohort, hyper, rng)
+    params, theta = sample_prior(hyper, rng)
+    G = _categorical_rows(np.stack([params.nu0, params.nu1])[cohort.y], rng)
+    state = AugmentedState.from_params(params, theta, G)
 
     K = config.n_draws
     V, R, H, L, n = hyper.V, hyper.R, hyper.H, hyper.L, cohort.n
@@ -447,21 +433,9 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
             "single_group": cohort.single_group,
             "subject_ids": list(cohort.subject_ids),
             "data_checksum": cohort.checksum,
-            "hyper": {
-                "V": hyper.V, "H": hyper.H, "R": hyper.R,
-                "a0": hyper.a0, "a1": hyper.a1,
-                "z_mean": hyper.z_mean, "z_var": hyper.z_var,
-                "mig_a1": hyper.mig_a1, "mig_a2": hyper.mig_a2,
-                "dirichlet_conc": hyper.dirichlet_conc,
-                "prior_T1": hyper.prior_T1,
-            },
-            "sampler": {
-                "n_iter": config.n_iter, "burn_in": config.burn_in,
-                "thin": config.thin, "seed": config.seed,
-                "record_pi": config.record_pi,
-            },
+            "hyper": asdict(hyper),
+            "sampler": asdict(config),
         },
-        pi=np.empty((K, H, L)) if config.record_pi else None,
     )
 
     k = 0
@@ -469,19 +443,8 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
         state = gibbs_sweep(state, cohort, hyper, rng)
         out.log_joint_trace[it - 1] = log_joint(state, cohort, hyper)
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            p = state.params
-            out.Z[k] = p.Z
-            for h in range(H):
-                out.X[k, h] = p.components[h].X
-                out.lam[k, h] = p.components[h].lam
-            out.theta[k] = state.theta
-            out.nu[k, 0] = p.nu0
-            out.nu[k, 1] = p.nu1
-            out.pY1[k] = p.pY1
-            out.T[k] = p.T
-            out.assignments[k] = state.assignments
-            if out.pi is not None:
-                out.pi[k] = p.edge_probabilities()
+            for name in ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments"):
+                getattr(out, name)[k] = getattr(state, name)
             k += 1
     assert k == K
     return out

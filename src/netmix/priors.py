@@ -21,6 +21,7 @@ __all__ = [
     "HyperParameters",
     "sample_prior",
     "log_prior_density",
+    "log_prior_from_arrays",
     "mixing_weights_log_prior",
 ]
 
@@ -153,24 +154,32 @@ def log_prior_density(params: MixtureParameters, theta: np.ndarray,
     if not np.allclose(stored, lam, rtol=1e-8, atol=1e-12):
         raise ValueError("lambda inconsistent with cumprod(1/theta)")
 
+    return log_prior_from_arrays(params.Z, np.stack([c.X for c in params.components]),
+                                 theta, np.stack([params.nu0, params.nu1]),
+                                 params.pY1, params.T, hyper)
+
+
+def log_prior_from_arrays(Z: np.ndarray, X: np.ndarray, theta: np.ndarray,
+                          nu: np.ndarray, pY1: float, T: int,
+                          hyper: HyperParameters) -> float:
+    """Unchecked log_prior_density of a state given as arrays: X (H, V, R),
+    theta (H, R), which fixes lambda, and nu (2, H)."""
     lp = 0.0
     # pY1 ~ Beta(a1, a0); Beta(x; a, b) on pY1 with a = a1 pairing group 1
     a, b = hyper.a1, hyper.a0
     lp += float(gammaln(a + b) - gammaln(a) - gammaln(b)
-                + (a - 1.0) * np.log(params.pY1)
-                + (b - 1.0) * np.log1p(-params.pY1))
+                + (a - 1.0) * np.log(pY1)
+                + (b - 1.0) * np.log1p(-pY1))
     # Z iid normal
-    resid = params.Z - hyper.z_mean
+    resid = Z - hyper.z_mean
     lp += float(-0.5 * hyper.L * np.log(2.0 * np.pi * hyper.z_var)
                 - 0.5 * (resid @ resid) / hyper.z_var)
     # factors iid standard normal
-    for c in params.components:
-        lp += float(-0.5 * c.X.size * np.log(2.0 * np.pi)
-                    - 0.5 * np.sum(c.X * c.X))
+    lp += float(-0.5 * X.size * np.log(2.0 * np.pi) - 0.5 * np.sum(X * X))
     # theta: independent gammas, rate 1
     shapes = _theta_shapes(hyper)
     lp += float(np.sum((shapes - 1.0) * np.log(theta) - theta
                        - gammaln(shapes)))
     # mixing weights and dependence indicator
-    lp += mixing_weights_log_prior(params.nu0, params.nu1, params.T, hyper)
+    lp += mixing_weights_log_prior(nu[0], nu[1], T, hyper)
     return lp

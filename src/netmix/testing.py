@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, logit, logsumexp
 from scipy.stats import fisher_exact, rankdata
 
-from .core import MixtureParameters, edge_index_map, node_count
+from .core import (MixtureParameters, _deviations, edge_index_map,
+                   logistic_map, node_count)
 from .inference import PosteriorDraws, as_cohort
 
 __all__ = [
@@ -114,32 +116,33 @@ def global_test(draws: PosteriorDraws) -> float:
     return float(np.mean(draws.T))
 
 
-def cramers_v_from_probs(p0: np.ndarray, p1: np.ndarray, pY1: float) -> np.ndarray:
+def cramers_v_from_probs(p0: np.ndarray, p1: np.ndarray, pY1) -> np.ndarray:
     """Association coefficient of (label, edge) from the group-conditional
     edge probabilities and the group-1 prevalence.
 
-    Degenerate edges (marginal probability exactly 0 or 1) score 0 when
-    the conditionals agree and raise otherwise.
+    pY1 may be an array that broadcasts against p0 and p1. Degenerate
+    edges (marginal probability exactly 0 or 1) score 0 when the
+    conditionals agree and raise otherwise.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=np.float64))
     p1 = np.atleast_1d(np.asarray(p1, dtype=np.float64))
     if p0.shape != p1.shape:
         raise ValueError("conditional probability vectors must align")
-    if not (0.0 <= pY1 <= 1.0):
+    w1 = np.asarray(pY1, dtype=np.float64)
+    if not ((w1 >= 0.0) & (w1 <= 1.0)).all():
         raise ValueError("pY1 must lie in [0, 1]")
-    w = np.array([1.0 - pY1, pY1])
-    marg = w[0] * p0 + w[1] * p1
+    w0 = 1.0 - w1
+    marg = w0 * p0 + w1 * p1
     degenerate = (marg <= 0.0) | (marg >= 1.0)
     if degenerate.any():
         if not np.array_equal(p0[degenerate], p1[degenerate]):
             raise ValueError("degenerate edge with unequal group conditionals")
-    rho2 = np.zeros_like(marg)
-    ok = ~degenerate
     # both cells of the 2x2 share the squared numerator, so the chi-square
     # collapses to (p_y - marg)^2 / (marg (1-marg))
-    rho2[ok] = (w[0] * (p0[ok] - marg[ok]) ** 2
-                + w[1] * (p1[ok] - marg[ok]) ** 2) / (marg[ok] * (1.0 - marg[ok]))
-    return np.sqrt(rho2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 = (w0 * (p0 - marg) ** 2
+                + w1 * (p1 - marg) ** 2) / (marg * (1.0 - marg))
+    return np.sqrt(np.where(degenerate, 0.0, rho2))
 
 
 def cramers_v(params: MixtureParameters) -> np.ndarray:
@@ -150,10 +153,17 @@ def cramers_v(params: MixtureParameters) -> np.ndarray:
     return cramers_v_from_probs(p0, p1, params.pY1)
 
 
-def _group_prob_draws(draws: PosteriorDraws):
-    for k in range(draws.n_draws):
-        pi = draws.component_probs(k)
-        yield draws.nu[k, 0] @ pi, draws.nu[k, 1] @ pi, float(draws.pY1[k])
+_BLOCK_BYTES = 2 * 2**20  # cap on one block's (k, H, V, V) Gram matrices
+
+
+def _edge_probability_blocks(draws: PosteriorDraws):
+    """Yield (draw slice, (k, H, L) edge probabilities) block by block."""
+    K, H, V, _ = draws.X.shape
+    step = max(1, _BLOCK_BYTES // (8 * H * V * V))
+    for sl in (slice(i, i + step) for i in range(0, K, step)):
+        X = draws.X[sl]
+        D = _deviations(X * draws.lam[sl][:, :, None, :], X)
+        yield sl, logistic_map(draws.Z[sl][:, None, :] + D)
 
 
 def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -161,16 +171,19 @@ def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.nd
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     exceed = np.zeros(draws.Z.shape[1])
-    for p0, p1, pY1 in _group_prob_draws(draws):
-        exceed += cramers_v_from_probs(p0, p1, pY1) > epsilon
+    for sl, pi in _edge_probability_blocks(draws):
+        p = draws.nu[sl] @ pi
+        rho = cramers_v_from_probs(p[:, 0], p[:, 1], draws.pY1[sl][:, None])
+        exceed += (rho > epsilon).sum(axis=0)
     return exceed / draws.n_draws
 
 
 def edge_difference(draws: PosteriorDraws) -> np.ndarray:
     """Posterior mean of group-1 minus group-0 edge probabilities."""
     diff = np.zeros(draws.Z.shape[1])
-    for p0, p1, _ in _group_prob_draws(draws):
-        diff += p1 - p0
+    for sl, pi in _edge_probability_blocks(draws):
+        p = draws.nu[sl] @ pi
+        diff += (p[:, 1] - p[:, 0]).sum(axis=0)
     return diff / draws.n_draws
 
 
@@ -198,10 +211,8 @@ def test_degree(significant_edges: np.ndarray) -> np.ndarray:
     sig = np.asarray(significant_edges, dtype=bool)
     V = node_count(sig.shape[0])
     emap = edge_index_map(V)
-    deg = np.zeros(V, dtype=np.int64)
-    np.add.at(deg, emap.rows0[sig], 1)
-    np.add.at(deg, emap.cols0[sig], 1)
-    return deg
+    return np.bincount(np.concatenate([emap.rows0[sig], emap.cols0[sig]]),
+                       minlength=V)
 
 
 def classify(draws: PosteriorDraws, data) -> ClassificationResult:
@@ -214,21 +225,15 @@ def classify(draws: PosteriorDraws, data) -> ClassificationResult:
     if cohort.V * (cohort.V - 1) // 2 != draws.Z.shape[1]:
         raise ValueError("cohort node count does not match the fitted draws")
     probs = np.zeros(cohort.n)
-    for k in range(draws.n_draws):
-        pi = draws.component_probs(k)
+    for sl, pi in _edge_probability_blocks(draws):
         logit_pi = np.log(pi) - np.log1p(-pi)
-        base = np.log1p(-pi).sum(axis=1)
-        comp_lp = cohort.A @ logit_pi.T + base  # (n, H)
-        m = comp_lp.max(axis=1, keepdims=True)
+        comp_lp = (cohort.A @ logit_pi.transpose(0, 2, 1)
+                   + np.log1p(-pi).sum(axis=2)[:, None, :])  # (k, n, H)
         with np.errstate(divide="ignore"):
-            lp_y = np.stack([
-                np.log(np.exp(comp_lp - m) @ draws.nu[k, y]).ravel() + m.ravel()
-                for y in (0, 1)
-            ])  # (2, n)
-        pY1 = float(draws.pY1[k])
-        log_w = np.log([1.0 - pY1, pY1])
-        joint = lp_y + log_w[:, None]
-        probs += np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
+            lp_y = logsumexp(comp_lp[:, :, None, :], b=draws.nu[sl][:, None],
+                             axis=3)  # (k, n, 2)
+        probs += expit(lp_y[..., 1] - lp_y[..., 0]
+                       + logit(draws.pY1[sl])[:, None]).sum(axis=0)
     probs /= draws.n_draws
     return ClassificationResult(subject_ids=cohort.subject_ids,
                                 labels=cohort.y.copy(),

@@ -103,14 +103,12 @@ def test_criterion_3_geweke_prior_recovery(criterion):
     params, theta = sample_prior(hyper, rng)
     obs, G = sample_joint_cohort(params, n, rng)
     cohort = CohortData.from_observations(obs)
-    state = AugmentedState(params=params, theta=theta,
-                           assignments=np.asarray(G, dtype=np.int64),
-                           omega=np.abs(rng.standard_normal((n, 6))) + 0.1)
+    state = AugmentedState.from_params(params, theta, G)
     rec = np.empty((cycles, 3))
     for i in range(cycles):
         state = gibbs_sweep(state, cohort, hyper, rng)
-        rec[i] = (state.params.pY1, state.params.Z.mean(), state.params.T)
-        obs, G = sample_joint_cohort(state.params, n, rng)
+        rec[i] = (state.pY1, state.Z.mean(), state.T)
+        obs, G = sample_joint_cohort(state.to_params(), n, rng)
         cohort = CohortData.from_observations(obs)
         state = replace(state, assignments=np.asarray(G, dtype=np.int64))
     elapsed = time.perf_counter() - t0

@@ -157,21 +157,6 @@ def test_fit_csv_format_and_message(workspace, tmp_path, capsys):
     assert first[2] in ("0", "1")
 
 
-def test_fit_threads_flag(workspace, tmp_path, capsys):
-    cfg = tmp_path / "fit.cfg"
-    cfg.write_text("h = 2\nr = 1\nn_iter = 22\nburn_in = 20\nthin = 1\n")
-    assert run_cli(["fit", "--manifest", str(workspace["manifest"]),
-                    "--config", str(cfg), "--threads", "4",
-                    "--out-dir", str(tmp_path / "out")]) == 0
-    assert "running sequentially" in capsys.readouterr().err
-    assert run_cli(["fit", "--manifest", str(workspace["manifest"]),
-                    "--config", str(cfg), "--threads", "0",
-                    "--out-dir", str(tmp_path / "out2")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--threads must be positive" in err
-    assert not (tmp_path / "out2").exists()
-
-
 def test_fit_bad_config(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")

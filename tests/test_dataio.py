@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from netmix.cli import run_cli
 from netmix.core import NetworkObservation
 from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
                            NodeMetadata, atomic_write_text, load_dataset,
@@ -229,22 +230,11 @@ def test_parse_config_types(tmp_path):
                   "V = 20\n"
                   "n_iter = 500\n"
                   "mig_a2 = 4.5\n"
-                  "record_pi = true\n"
                   "scenario = shifted  # synthetic family\n")
     cfg = parse_config(path)
     assert cfg == {"v": 20, "n_iter": 500, "mig_a2": 4.5,
-                   "record_pi": True, "scenario": "shifted"}
+                   "scenario": "shifted"}
     assert isinstance(cfg["v"], int) and isinstance(cfg["mig_a2"], float)
-
-
-def test_parse_config_bool_spellings(tmp_path):
-    for raw, expected in (("true", True), ("1", True),
-                          ("false", False), ("0", False)):
-        cfg = parse_config(_write(tmp_path, f"b{raw}.txt",
-                                  f"record_pi = {raw}\n"))
-        assert cfg["record_pi"] is expected
-    with pytest.raises(ConfigError, match="bad value"):
-        parse_config(_write(tmp_path, "bx.txt", "record_pi = yes\n"))
 
 
 def test_parse_config_errors(tmp_path):
@@ -254,6 +244,7 @@ def test_parse_config_errors(tmp_path):
         ("v = 3.5\n", "bad value"),
         ("mig_a2 = abc\n", "bad value"),
         ("just some words\n", "expected 'key = value'"),
+        ("record_pi = true\n", "unknown config key"),
         ("scenario = banana\n", "scenario must be one of"),
     ]
     for i, (text, pattern) in enumerate(cases):
@@ -279,7 +270,6 @@ def test_draws_round_trip(tmp_path):
         assert np.array_equal(a, b), name
         assert a.dtype == b.dtype, name
     assert loaded.meta == draws.meta
-    assert loaded.pi is None
     assert loaded.n_draws == 2
 
 
@@ -336,6 +326,59 @@ def test_draws_archive_rejects_unexpected_contents(tmp_path):
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     forged = blob[:12] + np.uint64(len(hb)).tobytes() + hb + blob[20 + hlen:]
     _expect_archive_error(tmp_path, forged, "unexpected archive contents")
+
+
+def _forged(tmp_path, edit):
+    """A valid archive whose JSON header is replaced by edit(header)."""
+    blob = _valid_blob(tmp_path)
+    hlen = int(np.frombuffer(blob, np.uint64, 1, 12)[0])
+    hb = json.dumps(edit(json.loads(blob[20:20 + hlen]))).encode()
+    return blob[:12] + np.uint64(len(hb)).tobytes() + hb + blob[20 + hlen:]
+
+
+def _edit_array(name, **changes):
+    def edit(header):
+        spec = next(s for s in header["arrays"] if s["name"] == name)
+        spec.update(changes)
+        return header
+    return edit
+
+
+def _zero_draws(tmp_path):
+    d = _small_draws()
+    empty = PosteriorDraws(meta=d.meta, **{
+        name: getattr(d, name)[:0] for name in
+        ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
+         "log_joint_trace")})
+    save_draws(empty, tmp_path / "empty.bin")
+    return (tmp_path / "empty.bin").read_bytes()
+
+
+@pytest.mark.parametrize("make,pattern", [
+    (lambda t: _forged(t, lambda h: h["arrays"]), "'arrays' list"),
+    (lambda t: _forged(t, lambda h: {"arrays": h["arrays"]}), "'meta' object"),
+    (lambda t: _forged(t, lambda h: {"meta": h["meta"]}), "'arrays' list"),
+    (lambda t: _forged(t, _edit_array("Z", dtype="zz")), "bad dtype"),
+    (lambda t: _forged(t, _edit_array("Z", dtype="|O")), "bad dtype"),
+    (lambda t: _forged(t, _edit_array("Z", shape=[-2, -6])), "bad dtype or shape"),
+    (lambda t: _forged(t, _edit_array("Z", shape=[2.0, 6])), "bad dtype or shape"),
+    (lambda t: _forged(t, _edit_array("Z", shape=[3, 4])), "'Z' has shape"),
+    (lambda t: _forged(t, _edit_array("assignments", shape=[3, 2])),
+     "'assignments' has shape"),
+    (lambda t: _forged(t, lambda h: {**h, "meta": {**h["meta"], "V": 5}}),
+     r"meta \{'V': 5\} disagrees"),
+    (_zero_draws, "at least one draw"),
+], ids=["list-header", "no-meta", "no-arrays", "dtype-zz", "dtype-object",
+        "negative-shape", "float-shape", "Z-shape", "assignments-shape", "meta-V",
+        "zero-draws"])
+def test_draws_archive_rejects_malformed_header(tmp_path, capsys, make, pattern):
+    _expect_archive_error(tmp_path, make(tmp_path), pattern)
+    # the command line reports it as one line, with no traceback
+    assert run_cli(["test", "--archive", str(tmp_path / "bad.bin"),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------- test report

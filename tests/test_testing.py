@@ -3,8 +3,12 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
-from netmix.core import ComponentFactors, MixtureParameters, sample_cohort
-from netmix.inference import CohortData, PosteriorDraws
+from netmix import testing
+from netmix.core import (ComponentFactors, MixtureParameters,
+                         conditional_log_pmf, sample_cohort)
+from netmix.inference import (CohortData, PosteriorDraws, SamplerConfig,
+                              run_chain)
+from netmix.priors import HyperParameters
 from netmix.testing import (ClassificationResult, TestReport, bh_reject,
                             classify, compute_test_report, cramers_v,
                             cramers_v_from_probs, edge_difference,
@@ -153,6 +157,42 @@ def test_functionals_invariant_to_component_relabeling():
     a, b = _draws_from_params([p]), _draws_from_params([swapped])
     assert np.allclose(local_test(a, 0.1), local_test(b, 0.1), atol=1e-12)
     assert np.allclose(edge_difference(a), edge_difference(b), atol=1e-12)
+
+
+def _reference_functionals(draws, cohort, epsilon):
+    """Per-draw loops over validated parameter objects: exceedance
+    frequency, mean group difference and classification probabilities."""
+    exceed, diff, probs = 0.0, 0.0, 0.0
+    for k in range(draws.n_draws):
+        params = draws.params_at(k)
+        pi = params.edge_probabilities()
+        p0, p1 = params.nu0 @ pi, params.nu1 @ pi
+        exceed = exceed + (cramers_v_from_probs(p0, p1, params.pY1) > epsilon)
+        diff = diff + (p1 - p0)
+        lp = np.array([[np.log(params.pY1 if y else 1.0 - params.pY1)
+                        + conditional_log_pmf(a, params, y) for y in (0, 1)]
+                       for a in cohort.A])
+        probs = probs + np.exp(lp[:, 1] - np.logaddexp(lp[:, 0], lp[:, 1]))
+    K = draws.n_draws
+    return exceed / K, diff / K, probs / K
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1800])
+def test_blocked_functionals_match_per_draw_loop(monkeypatch, block_bytes):
+    # 1800 bytes hold three (H, V, V) = (3, 5, 5) Gram stacks, so ten draws
+    # run in four blocks, the last one partial
+    if block_bytes is not None:
+        monkeypatch.setattr(testing, "_BLOCK_BYTES", block_bytes)
+    truth = _two_level_params(0.2, 0.8, 5, [0.7, 0.3], [0.2, 0.8])
+    obs = sample_cohort(truth, 8, 8, np.random.default_rng(3))
+    draws = run_chain(obs, HyperParameters(V=5, H=3, R=2),
+                      SamplerConfig(n_iter=40, burn_in=20, thin=2, seed=5))
+    cohort = CohortData.from_observations(obs)
+    exceed, diff, probs = _reference_functionals(draws, cohort, 0.1)
+    assert np.array_equal(local_test(draws, 0.1), exceed)
+    assert np.allclose(edge_difference(draws), diff, rtol=0, atol=1e-12)
+    assert np.allclose(classify(draws, cohort).probabilities, probs,
+                       rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------- test report
