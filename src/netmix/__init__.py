@@ -4,11 +4,11 @@ Workflow: build or load a cohort of labeled binary networks, fit the
 mixture with the Gibbs sampler (run_chain), then test for group
 differences (compute_test_report) and score subjects (classify).
 """
-from .core import (ComponentFactors, EdgeIndexMap, MixtureParameters,
-                   NetworkObservation, component_log_pmf, component_similarity,
-                   conditional_log_pmf, edge_index_map, joint_log_pmf,
-                   logistic_map, marginal_log_pmf, matricize, sample_cohort,
-                   sample_joint_cohort, sample_network, vectorize)
+from .core import (EdgeIndexMap, MixtureParameters, NetworkObservation,
+                   component_log_pmf, conditional_log_pmf, edge_index_map,
+                   joint_log_pmf, logistic_map, marginal_log_pmf, matricize,
+                   sample_cohort, sample_joint_cohort, sample_network,
+                   vectorize)
 from .inference import (AugmentedState, CohortData, PosteriorDraws,
                         SamplerConfig, gibbs_sweep, run_chain)
 from .oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
@@ -22,11 +22,10 @@ from .testing import (ClassificationResult, TestReport, classify,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentFactors", "EdgeIndexMap", "MixtureParameters",
-    "NetworkObservation", "component_log_pmf", "component_similarity",
-    "conditional_log_pmf", "edge_index_map", "joint_log_pmf", "logistic_map",
-    "marginal_log_pmf", "matricize", "sample_cohort", "sample_joint_cohort",
-    "sample_network", "vectorize",
+    "EdgeIndexMap", "MixtureParameters", "NetworkObservation",
+    "component_log_pmf", "conditional_log_pmf", "edge_index_map",
+    "joint_log_pmf", "logistic_map", "marginal_log_pmf", "matricize",
+    "sample_cohort", "sample_joint_cohort", "sample_network", "vectorize",
     "AugmentedState", "CohortData", "PosteriorDraws", "SamplerConfig",
     "gibbs_sweep", "run_chain",
     "ExactPmfTable", "enumerate_pmf", "exact_cramers_v",

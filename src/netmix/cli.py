@@ -61,8 +61,8 @@ def _build_sampler(cfg: dict, seed_flag: int | None) -> SamplerConfig:
 def _params_to_json(params: MixtureParameters) -> dict:
     return {
         "Z": params.Z.tolist(),
-        "components": [{"X": c.X.tolist(), "lam": c.lam.tolist()}
-                       for c in params.components],
+        "components": [{"X": X.tolist(), "lam": lam.tolist()}
+                       for X, lam in zip(params.X, params.lam)],
         "nu0": params.nu0.tolist(),
         "nu1": params.nu1.tolist(),
         "pY1": params.pY1,
@@ -212,18 +212,13 @@ def _cmd_report(args) -> int:
     fit_meta = None
     archive = Path(args.archive) if args.archive else out / "draws.bin"
     if archive.exists():
-        fit_meta = dataio.load_draws(archive).meta
+        fit_meta = dataio.load_draws_meta(archive)
     test_report = None
     if (out / "test_report.json").exists():
         test_report = dataio.load_test_report(out / "test_report.json")
     classification = None
     if (out / "classification.json").exists():
-        try:
-            classification = json.loads(
-                (out / "classification.json").read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(
-                f"{out / 'classification.json'}: corrupt JSON") from exc
+        classification = dataio.load_classification(out / "classification.json")
     text = dataio.render_report(fit_meta, test_report, classification)
     dataio.atomic_write_text(out / "report.md", text)
     print(f"report: wrote {out / 'report.md'}")

@@ -9,7 +9,9 @@ Each mixture component ``h`` defines per-edge log-odds
 ``D(h)_l = sum_r lambda(h)_r X(h)_vr X(h)_ur`` is a low-rank symmetric
 deviation. Edge probabilities are ``pi(h) = logistic(S(h))`` and a network
 in group ``y`` is generated by picking component ``h`` with probability
-``nu_hy`` and drawing independent Bernoulli edges.
+``nu_hy`` and drawing independent Bernoulli edges. ``MixtureParameters``
+holds the factors of all components stacked: ``X`` is (H, V, R) and
+``lam`` is (H, R).
 
 Everything here is pure: randomness enters only through an explicit
 ``numpy.random.Generator``.
@@ -27,11 +29,9 @@ __all__ = [
     "edge_count",
     "node_count",
     "NetworkObservation",
-    "ComponentFactors",
     "MixtureParameters",
     "vectorize",
     "matricize",
-    "component_similarity",
     "logistic_map",
     "bernoulli_log_pmf",
     "component_log_pmf",
@@ -170,43 +170,6 @@ class NetworkObservation:
         return node_count(self.edges.shape[0])
 
 
-@dataclass(frozen=True)
-class ComponentFactors:
-    """Low-rank deviation of one component: node factors X (V, R) and
-    nonnegative column weights lam (R,)."""
-
-    X: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be (V, R)")
-        if lam.ndim != 1 or lam.shape[0] != X.shape[1]:
-            raise ValueError(f"lam must have length R={X.shape[1]}")
-        if not np.isfinite(X).all() or not np.isfinite(lam).all():
-            raise ValueError("factors must be finite")
-        if (lam < 0).any():
-            raise ValueError("lam entries must be nonnegative")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def V(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def R(self) -> int:
-        return self.X.shape[1]
-
-    def deviation(self, emap: EdgeIndexMap) -> np.ndarray:
-        """Edge-wise bilinear form D_l = sum_r lam_r X_vr X_ur."""
-        if emap.V != self.V:
-            raise ValueError(f"factor V={self.V} != map V={emap.V}")
-        return _deviations(self.X * self.lam, self.X)
-
-
 def _deviations(XW: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(..., L) edge-wise forms sum_r XW_vr X_ur of stacks (..., V, R)."""
     emap = edge_index_map(X.shape[-2])
@@ -229,12 +192,14 @@ def _check_simplex(w: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureParameters:
-    """Full generative state: shared log-odds Z, per-component factors,
+    """Full generative state: shared log-odds Z (L,), node factors X
+    (H, V, R) and nonnegative column weights lam (H, R) of every component,
     group-specific mixing weights, group prevalence, and the dependence
     indicator T (T=0 forces nu0 == nu1 entrywise)."""
 
     Z: np.ndarray
-    components: tuple[ComponentFactors, ...]
+    X: np.ndarray
+    lam: np.ndarray
     nu0: np.ndarray
     nu1: np.ndarray
     pY1: float
@@ -245,19 +210,19 @@ class MixtureParameters:
         if Z.ndim != 1 or not np.isfinite(Z).all():
             raise ValueError("Z must be a finite 1-d vector")
         V = node_count(Z.shape[0])
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("need at least one component")
-        for h, c in enumerate(comps):
-            if not isinstance(c, ComponentFactors):
-                raise TypeError(f"component {h} is not ComponentFactors")
-            if c.V != V:
-                raise ValueError(f"component {h} has V={c.V}, expected {V}")
-            if c.R != comps[0].R:
-                raise ValueError("components must share a common rank R")
+        X = np.asarray(self.X, dtype=np.float64)
+        lam = np.asarray(self.lam, dtype=np.float64)
+        if X.ndim != 3 or X.shape[0] < 1 or X.shape[1] != V:
+            raise ValueError(f"X must be (H >= 1, V={V}, R), got {X.shape}")
+        H, R = X.shape[0], X.shape[2]
+        if lam.shape != (H, R):
+            raise ValueError(f"lam must be (H, R)={H, R}, got {lam.shape}")
+        if not np.isfinite(X).all() or not np.isfinite(lam).all():
+            raise ValueError("factors must be finite")
+        if (lam < 0).any():
+            raise ValueError("lam entries must be nonnegative")
         nu0 = _check_simplex(self.nu0, "nu0")
         nu1 = _check_simplex(self.nu1, "nu1")
-        H = len(comps)
         if nu0.shape[0] != H or nu1.shape[0] != H:
             raise ValueError(f"mixing weights must have length H={H}")
         if self.T not in (0, 1):
@@ -267,13 +232,14 @@ class MixtureParameters:
         if not (0.0 < self.pY1 < 1.0):
             raise ValueError(f"pY1 must lie strictly in (0, 1), got {self.pY1!r}")
         object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "nu0", nu0)
         object.__setattr__(self, "nu1", nu1)
 
     @property
     def V(self) -> int:
-        return node_count(self.Z.shape[0])
+        return self.X.shape[1]
 
     @property
     def L(self) -> int:
@@ -281,11 +247,11 @@ class MixtureParameters:
 
     @property
     def H(self) -> int:
-        return len(self.components)
+        return self.X.shape[0]
 
     @property
     def R(self) -> int:
-        return self.components[0].R
+        return self.X.shape[2]
 
     def nu(self, y: int) -> np.ndarray:
         if y not in (0, 1):
@@ -294,8 +260,7 @@ class MixtureParameters:
 
     def similarities(self) -> np.ndarray:
         """(H, L) matrix of per-component edge log-odds S(h) = Z + D(h)."""
-        emap = edge_index_map(self.V)
-        return np.stack([self.Z + c.deviation(emap) for c in self.components])
+        return self.Z + _deviations(self.X * self.lam[:, None, :], self.X)
 
     def edge_probabilities(self) -> np.ndarray:
         """(H, L) matrix of per-component edge probabilities."""
@@ -304,15 +269,6 @@ class MixtureParameters:
     def group_edge_probability(self, y: int) -> np.ndarray:
         """Marginal edge probabilities within group y: sum_h nu_hy pi(h)."""
         return self.nu(y) @ self.edge_probabilities()
-
-
-def component_similarity(Z: np.ndarray, factors: ComponentFactors,
-                         emap: EdgeIndexMap) -> np.ndarray:
-    """Edge log-odds S = Z + D for one component."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape != (emap.L,):
-        raise ValueError(f"Z must have length L={emap.L}, got {Z.shape}")
-    return Z + factors.deviation(emap)
 
 
 def logistic_map(S: np.ndarray) -> np.ndarray:

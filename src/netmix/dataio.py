@@ -49,6 +49,7 @@ __all__ = [
     "parse_config",
     "save_draws",
     "load_draws",
+    "load_draws_meta",
     "save_test_report",
     "load_test_report",
     "write_edge_table",
@@ -56,6 +57,7 @@ __all__ = [
     "write_difference_matrix",
     "write_predictions",
     "save_classification",
+    "load_classification",
     "render_report",
     "atomic_write_text",
     "atomic_write_bytes",
@@ -118,13 +120,20 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _content_lines(path) -> list[str]:
+def _read_text(path) -> str:
+    """UTF-8 text of a file; unreadable or undecodable files raise
+    DataFormatError."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def _content_lines(path) -> list[str]:
     lines = []
-    for line in raw.splitlines():
+    for line in _read_text(path).splitlines():
         body = line.split("#", 1)[0].strip()
         if body:
             lines.append(body)
@@ -194,11 +203,7 @@ def _read_dense(path, lines: list[str]) -> np.ndarray:
 
 
 def load_node_metadata(path) -> tuple[NodeMetadata, ...]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_read_text(path)))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["name", "hemisphere", "lobe"]:
         raise DataFormatError(
@@ -224,11 +229,7 @@ def load_dataset(manifest_path, metadata_path=None):
     node count; node metadata, when given, must have exactly V rows.
     """
     manifest_path = Path(manifest_path)
-    try:
-        text = manifest_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{manifest_path}: {exc.strerror or exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_read_text(manifest_path)))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["subject_id", "label", "path"]:
         raise DataFormatError(f"{manifest_path}: expected header "
@@ -368,27 +369,34 @@ def save_draws(draws: PosteriorDraws, path) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
-def load_draws(path) -> PosteriorDraws:
+def _open_archive(path):
     try:
-        blob = Path(path).read_bytes()
+        return open(path, "rb")
     except OSError as exc:
         raise ArchiveError(f"{path}: {exc.strerror or exc}") from exc
-    if len(blob) < len(_MAGIC) + 12 or not blob.startswith(_MAGIC):
+
+
+def _read_header(fh, path) -> tuple[dict, list]:
+    """(meta, [(name, dtype, shape), ...]) of an archive opened at its
+    start, leaving fh at the first array. Checks the magic, version and
+    array specs, that the file size matches the declared arrays, and that
+    the declared shapes agree with each other and with meta."""
+    start = fh.read(len(_MAGIC) + 12)
+    if len(start) < len(_MAGIC) + 12 or not start.startswith(_MAGIC):
         raise ArchiveError(f"{path}: not a draws archive")
     off = len(_MAGIC)
-    version = int(np.frombuffer(blob, np.uint32, 1, off)[0])
+    version = int(np.frombuffer(start, np.uint32, 1, off)[0])
     if version != _VERSION:
         raise ArchiveError(f"{path}: unsupported archive version {version}")
-    off += 4
-    hlen = int(np.frombuffer(blob, np.uint64, 1, off)[0])
-    off += 8
-    if off + hlen > len(blob):
+    hlen = int(np.frombuffer(start, np.uint64, 1, off + 4)[0])
+    off += 12 + hlen
+    size = os.fstat(fh.fileno()).st_size
+    if off > size:
         raise ArchiveError(f"{path}: truncated archive header")
     try:
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"{path}: corrupt archive header") from exc
-    off += hlen
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
             and isinstance(header.get("arrays"), list)):
         raise ArchiveError(f"{path}: header needs an 'arrays' list and a 'meta' object")
@@ -396,7 +404,7 @@ def load_draws(path) -> PosteriorDraws:
               for spec in header["arrays"]]
     if listed != list(_ARRAY_ORDER):
         raise ArchiveError(f"{path}: unexpected archive contents {listed}")
-    fields = {}
+    specs = []
     for spec in header["arrays"]:
         name, shape = spec["name"], spec.get("shape")
         try:
@@ -406,36 +414,55 @@ def load_draws(path) -> PosteriorDraws:
         if (dtype.kind not in "iuf" or not isinstance(shape, list)
                 or not all(type(d) is int and d >= 0 for d in shape)):
             raise ArchiveError(f"{path}: array {name!r} has a bad dtype or shape")
-        count = math.prod(shape)
-        nbytes = count * dtype.itemsize
-        if off + nbytes > len(blob):
+        off += math.prod(shape) * dtype.itemsize
+        if off > size:
             raise ArchiveError(f"{path}: truncated array {name!r}")
-        fields[name] = np.frombuffer(blob, dtype, count, off).reshape(shape).copy()
-        off += nbytes
-    if off != len(blob):
+        specs.append((name, dtype, tuple(shape)))
+    if off != size:
         raise ArchiveError(f"{path}: trailing bytes after arrays")
-    _check_draw_shapes(path, fields, header["meta"])
-    return PosteriorDraws(meta=header["meta"], **fields)
+    _check_draw_shapes(path, {name: shape for name, _, shape in specs},
+                       header["meta"])
+    return header["meta"], specs
 
 
-def _check_draw_shapes(path, fields: dict, meta: dict) -> None:
-    """At least one draw, X (K, H, V, R), and every other array and every
-    dimension in meta consistent with X."""
-    X, assignments = fields["X"], fields["assignments"]
-    K, H, V, R = X.shape if X.ndim == 4 else (0, 0, 0, 0)
+def load_draws_meta(path) -> dict:
+    """The meta dict of a draws archive, from its header alone. Rejects
+    the same malformed archives as load_draws but reads no array."""
+    with _open_archive(path) as fh:
+        return _read_header(fh, path)[0]
+
+
+def load_draws(path) -> PosteriorDraws:
+    """Read a draws archive; malformed archives raise ArchiveError."""
+    with _open_archive(path) as fh:
+        meta, specs = _read_header(fh, path)
+        fields = {}
+        for name, dtype, shape in specs:
+            buf = bytearray(math.prod(shape) * dtype.itemsize)
+            if fh.readinto(buf) != len(buf):
+                raise ArchiveError(f"{path}: truncated array {name!r}")
+            fields[name] = np.frombuffer(buf, dtype).reshape(shape)
+    return PosteriorDraws(meta=meta, **fields)
+
+
+def _check_draw_shapes(path, shapes: dict, meta: dict) -> None:
+    """At least one draw, X (K, H, V, R), and every other array shape and
+    every dimension in meta consistent with X."""
+    X, assignments = shapes["X"], shapes["assignments"]
+    K, H, V, R = X if len(X) == 4 else (0, 0, 0, 0)
     if min(K, H, R) < 1 or V < 2:
         raise ArchiveError(f"{path}: need at least one draw and X of shape "
-                           f"(K, H, V >= 2, R), got {X.shape}")
+                           f"(K, H, V >= 2, R), got {X}")
     dims = {"V": V, "H": H, "R": R, "L": V * (V - 1) // 2,
-            "n": assignments.shape[1] if assignments.ndim == 2 else -1}
+            "n": assignments[1] if len(assignments) == 2 else -1}
     expected = {"Z": (K, dims["L"]), "lam": (K, H, R), "theta": (K, H, R),
                 "nu": (K, 2, H), "pY1": (K,), "T": (K,),
                 "assignments": (K, dims["n"]),
-                "log_joint_trace": (fields["log_joint_trace"].size,)}
+                "log_joint_trace": (math.prod(shapes["log_joint_trace"]),)}
     for name, shape in expected.items():
-        if fields[name].shape != shape:
+        if shapes[name] != shape:
             raise ArchiveError(f"{path}: array {name!r} has shape "
-                               f"{fields[name].shape}, expected {shape}")
+                               f"{shapes[name]}, expected {shape}")
     bad = {key: meta[key] for key, value in dims.items() if meta.get(key, value) != value}
     if bad:
         raise ArchiveError(f"{path}: meta {bad} disagrees with the array shapes {dims}")
@@ -461,9 +488,7 @@ def save_test_report(report: TestReport, path) -> None:
 
 def load_test_report(path) -> TestReport:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a JSON test report") from exc
     try:
@@ -537,6 +562,22 @@ def save_classification(auc: float, accuracy: float, n: int, path) -> None:
                "threshold": 0.5}
     atomic_write_text(path, json.dumps(payload, sort_keys=True,
                                        separators=(",", ": ")) + "\n")
+
+
+def load_classification(path) -> dict:
+    """The payload of save_classification; it must be an object with
+    numeric auc, accuracy and n_subjects."""
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: corrupt JSON") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    for key in ("auc", "accuracy", "n_subjects"):
+        value = payload.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataFormatError(f"{path}: {key!r} must be a number, got {value!r}")
+    return payload
 
 
 def render_report(fit_meta: dict | None = None,

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit, gammaln, logsumexp
 
-from .core import (ComponentFactors, MixtureParameters, NetworkObservation,
-                   _deviations, edge_index_map)
+from .core import (MixtureParameters, NetworkObservation, _deviations,
+                   edge_index_map)
 from .pg import polya_gamma
 from .priors import (HyperParameters, _theta_shapes, log_prior_from_arrays,
                      sample_prior)
@@ -169,7 +169,7 @@ class AugmentedState:
     def from_params(cls, params: MixtureParameters, theta: np.ndarray,
                     assignments: np.ndarray) -> "AugmentedState":
         """State of a parameter object; theta is taken as given."""
-        Xbar = np.stack([c.X * np.sqrt(c.lam) for c in params.components])
+        Xbar = params.X * np.sqrt(params.lam)[:, None, :]
         return cls(params.Z.copy(), Xbar, np.array(theta, dtype=np.float64),
                    np.stack([params.nu0, params.nu1]), params.pY1, params.T,
                    np.asarray(assignments, dtype=np.int64),
@@ -185,9 +185,9 @@ class AugmentedState:
 
     def to_params(self) -> MixtureParameters:
         """The validated parameter object of this state."""
-        comps = tuple(map(ComponentFactors, self.X, self.lam))
-        return MixtureParameters(Z=self.Z, components=comps, nu0=self.nu[0],
-                                 nu1=self.nu[1], pY1=self.pY1, T=self.T)
+        return MixtureParameters(Z=self.Z, X=self.X, lam=self.lam,
+                                 nu0=self.nu[0], nu1=self.nu[1],
+                                 pY1=self.pY1, T=self.T)
 
 
 def _component_log_liks(S: np.ndarray, cohort: CohortData) -> np.ndarray:
@@ -393,8 +393,7 @@ class PosteriorDraws:
 
     def params_at(self, k: int) -> MixtureParameters:
         """Rebuild the validated parameter object for draw k."""
-        comps = tuple(map(ComponentFactors, self.X[k], self.lam[k]))
-        return MixtureParameters(Z=self.Z[k], components=comps,
+        return MixtureParameters(Z=self.Z[k], X=self.X[k], lam=self.lam[k],
                                  nu0=self.nu[k, 0], nu1=self.nu[k, 1],
                                  pY1=float(self.pY1[k]), T=int(self.T[k]))
 

@@ -72,13 +72,13 @@ class ExactPmfTable:
 def _component_edge_probs(params: MixtureParameters, h: int) -> list[float]:
     """Per-edge probabilities of component h via scalar arithmetic."""
     emap = edge_index_map(params.V)
-    comp = params.components[h]
+    X, lam = params.X[h], params.lam[h]
     out = []
     for l in range(emap.L):
         v = int(emap.rows0[l])
         u = int(emap.cols0[l])
-        terms = [float(comp.lam[r]) * float(comp.X[v, r]) * float(comp.X[u, r])
-                 for r in range(comp.R)]
+        terms = [float(lam[r]) * float(X[v, r]) * float(X[u, r])
+                 for r in range(params.R)]
         s = float(params.Z[l]) + math.fsum(terms)
         p = 1.0 / (1.0 + math.exp(-s)) if s > -700 else 0.0
         out.append(min(max(p, float(_PI_LO)), float(_PI_HI)))

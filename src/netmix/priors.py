@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ComponentFactors, MixtureParameters, edge_count
+from .core import MixtureParameters, edge_count
 
 __all__ = [
     "HyperParameters",
@@ -79,7 +79,7 @@ def sample_prior(hyper: HyperParameters,
 
     theta is the (H, R) array of multiplicative inverse gamma auxiliaries;
     lambda(h) = cumprod(1/theta(h)) row-wise. Draw order is fixed
-    (pY1, Z, theta, X per component, T, weights) so a seeded generator
+    (pY1, Z, theta, X, T, weights) so a seeded generator
     reproduces byte-identical results.
     """
     pY1 = float(rng.beta(hyper.a1, hyper.a0))
@@ -87,9 +87,7 @@ def sample_prior(hyper: HyperParameters,
     shapes = _theta_shapes(hyper)
     theta = rng.gamma(shape=shapes, scale=1.0, size=(hyper.H, hyper.R))
     lam = np.cumprod(1.0 / theta, axis=1)
-    comps = tuple(ComponentFactors(X=rng.standard_normal((hyper.V, hyper.R)),
-                                   lam=lam[h])
-                  for h in range(hyper.H))
+    X = rng.standard_normal((hyper.H, hyper.V, hyper.R))
     T = int(rng.random() < hyper.prior_T1)
     alpha = np.full(hyper.H, hyper.dirichlet_conc)
     if T == 1:
@@ -98,7 +96,7 @@ def sample_prior(hyper: HyperParameters,
     else:
         nu0 = rng.dirichlet(alpha)
         nu1 = nu0.copy()
-    params = MixtureParameters(Z=Z, components=comps, nu0=nu0, nu1=nu1,
+    params = MixtureParameters(Z=Z, X=X, lam=lam, nu0=nu0, nu1=nu1,
                                pY1=pY1, T=T)
     return params, theta
 
@@ -150,12 +148,11 @@ def log_prior_density(params: MixtureParameters, theta: np.ndarray,
     if (theta <= 0.0).any():
         raise ValueError("theta entries must be positive")
     lam = np.cumprod(1.0 / theta, axis=1)
-    stored = np.stack([c.lam for c in params.components])
-    if not np.allclose(stored, lam, rtol=1e-8, atol=1e-12):
+    if not np.allclose(params.lam, lam, rtol=1e-8, atol=1e-12):
         raise ValueError("lambda inconsistent with cumprod(1/theta)")
 
-    return log_prior_from_arrays(params.Z, np.stack([c.X for c in params.components]),
-                                 theta, np.stack([params.nu0, params.nu1]),
+    return log_prior_from_arrays(params.Z, params.X, theta,
+                                 np.stack([params.nu0, params.nu1]),
                                  params.pY1, params.T, hyper)
 
 

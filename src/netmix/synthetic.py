@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit
 
-from .core import ComponentFactors, MixtureParameters, edge_count, edge_index_map
+from .core import MixtureParameters, edge_count, edge_index_map
 from .testing import cramers_v
 
 __all__ = [
@@ -49,16 +49,14 @@ def _finish(params: MixtureParameters, different: np.ndarray) -> SyntheticTruth:
                           different_edges=np.asarray(different, dtype=np.int64))
 
 
-def _constant_shift_components(V: int, base: np.ndarray,
-                               shift: float) -> tuple[np.ndarray, tuple]:
-    """Two components at log-odds base -/+ shift via a rank-one all-ones
-    deviation (weights must be nonnegative, so Z carries the low side)."""
-    L = edge_count(V)
+def _constant_shift_factors(V: int, base: np.ndarray, shift: float):
+    """(Z, X, lam) of two components at log-odds base -/+ shift via a
+    rank-one all-ones deviation (weights must be nonnegative, so Z carries
+    the low side)."""
     Z = base - shift
-    flat = ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0]))
-    ones = ComponentFactors(X=np.ones((V, 1)), lam=np.array([2.0 * shift]))
-    assert Z.shape == (L,)
-    return Z, (flat, ones)
+    assert Z.shape == (edge_count(V),)
+    X = np.stack([np.zeros((V, 1)), np.ones((V, 1))])
+    return Z, X, np.array([[0.0], [2.0 * shift]])
 
 
 def shifted_mixture_truth(V: int, shift: float = 1.1, seed: int = 0) -> SyntheticTruth:
@@ -69,8 +67,8 @@ def shifted_mixture_truth(V: int, shift: float = 1.1, seed: int = 0) -> Syntheti
     """
     rng = np.random.default_rng(seed)
     base = rng.uniform(-0.3, 0.3, edge_count(V))
-    Z, comps = _constant_shift_components(V, base, shift)
-    params = MixtureParameters(Z=Z, components=comps,
+    Z, X, lam = _constant_shift_factors(V, base, shift)
+    params = MixtureParameters(Z=Z, X=X, lam=lam,
                                nu0=np.array([1.0, 0.0]),
                                nu1=np.array([0.0, 1.0]),
                                pY1=0.5, T=1)
@@ -82,9 +80,9 @@ def null_mixture_truth(V: int, shift: float = 0.8, seed: int = 0) -> SyntheticTr
     same two-component mixture, so every association is exactly zero."""
     rng = np.random.default_rng(seed)
     base = rng.uniform(-0.3, 0.3, edge_count(V))
-    Z, comps = _constant_shift_components(V, base, shift)
+    Z, X, lam = _constant_shift_factors(V, base, shift)
     nu = np.array([0.5, 0.5])
-    params = MixtureParameters(Z=Z, components=comps, nu0=nu, nu1=nu.copy(),
+    params = MixtureParameters(Z=Z, X=X, lam=lam, nu0=nu, nu1=nu.copy(),
                                pY1=0.5, T=0)
     return _finish(params, np.array([], dtype=np.int64))
 
@@ -107,11 +105,9 @@ def clique_difference_truth(V: int, clique_size: int = 5,
     Z = rng.uniform(logit(0.35), logit(0.6), emap.L)
     Z[in_clique] = logit(low)
     gap = float(logit(high) - logit(low))
-    x = np.zeros((V, 1))
-    x[:clique_size, 0] = 1.0
-    comps = (ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0])),
-             ComponentFactors(X=x, lam=np.array([gap])))
-    params = MixtureParameters(Z=Z, components=comps,
+    X = np.zeros((2, V, 1))
+    X[1, :clique_size, 0] = 1.0
+    params = MixtureParameters(Z=Z, X=X, lam=np.array([[0.0], [gap]]),
                                nu0=np.array([1.0, 0.0]),
                                nu1=np.array([0.0, 1.0]),
                                pY1=0.5, T=1)
@@ -124,8 +120,8 @@ def separable_truth(V: int, shift: float = 0.9, seed: int = 0) -> SyntheticTruth
     on every edge, enough signal to separate subjects from one network."""
     rng = np.random.default_rng(seed)
     base = rng.uniform(-0.5, 0.5, edge_count(V))
-    Z, comps = _constant_shift_components(V, base, shift)
-    params = MixtureParameters(Z=Z, components=comps,
+    Z, X, lam = _constant_shift_factors(V, base, shift)
+    params = MixtureParameters(Z=Z, X=X, lam=lam,
                                nu0=np.array([1.0, 0.0]),
                                nu1=np.array([0.0, 1.0]),
                                pY1=0.5, T=1)
@@ -146,9 +142,8 @@ def rank_one_truth(V: int, weight: float = 1.2, share: float = 0.75,
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.9, 1.5, size=(V, 1)) * rng.choice([-1.0, 1.0], size=(V, 1))
     Z = rng.uniform(-0.5, 0.5, edge_count(V))
-    dominant = ComponentFactors(X=x, lam=np.array([weight]))
-    flat = ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0]))
     nu = np.array([share, 1.0 - share])
-    params = MixtureParameters(Z=Z, components=(dominant, flat),
+    params = MixtureParameters(Z=Z, X=np.stack([x, np.zeros((V, 1))]),
+                               lam=np.array([[weight], [0.0]]),
                                nu0=nu, nu1=nu.copy(), pY1=0.5, T=0)
     return _finish(params, np.array([], dtype=np.int64))

@@ -293,6 +293,63 @@ def test_report_empty_directory(tmp_path):
     assert "No artifacts found." in (out / "report.md").read_text()
 
 
+@pytest.mark.parametrize("payload", ["[1,2]", '{"n_subjects": 3}'],
+                         ids=["list", "no-auc"])
+def test_report_malformed_classification(workspace, tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "classification.json").write_text(payload)
+    assert run_cli(["report", "--out-dir", str(out),
+                    "--archive", str(workspace["archive"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "classification.json" in err
+    assert not (out / "report.md").exists()
+
+
+# ------------------------------------------------------ unreadable inputs
+
+NOT_UTF8 = b"\xff\xfe\x00subject_id\x81\n"
+
+
+def _binary_file(tmp_path):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def _manifest_to_binary_network(tmp_path):
+    (tmp_path / "manifest.csv").write_text(
+        "subject_id,label,path\ns1,0,binary.dat\n")
+    _binary_file(tmp_path)
+    return str(tmp_path / "manifest.csv")
+
+
+def _report_dir_with_binary_test_report(tmp_path):
+    (tmp_path / "test_report.json").write_bytes(NOT_UTF8)
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda w, t: ["fit", "--manifest", _binary_file(t),
+                  "--out-dir", str(t / "out")],
+    lambda w, t: ["fit", "--manifest", str(w["manifest"]),
+                  "--config", _binary_file(t), "--out-dir", str(t / "out")],
+    lambda w, t: ["fit", "--manifest", _manifest_to_binary_network(t),
+                  "--out-dir", str(t / "out")],
+    lambda w, t: ["test", "--archive", str(w["archive"]),
+                  "--metadata", _binary_file(t), "--out-dir", str(t / "out")],
+    lambda w, t: ["report", "--out-dir", _report_dir_with_binary_test_report(t),
+                  "--archive", str(w["archive"])],
+], ids=["manifest", "config", "adjacency", "metadata", "test-report"])
+def test_non_utf8_input_is_one_line_error(workspace, tmp_path, capsys, argv):
+    assert run_cli(argv(workspace, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         run_cli([])

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmix.core import (ComponentFactors, MixtureParameters,
-                         NetworkObservation, bernoulli_log_pmf,
-                         component_log_pmf, component_similarity,
+from netmix.core import (MixtureParameters, NetworkObservation,
+                         bernoulli_log_pmf, component_log_pmf,
                          conditional_log_pmf, edge_count, edge_index_map,
                          joint_log_pmf, logistic_map, marginal_log_pmf,
                          matricize, node_count, sample_cohort,
@@ -108,33 +107,37 @@ def test_vectorize_matricize_roundtrip(V, seed):
 # ------------------------------------------------------- similarities
 
 
+def _component_similarity(Z, X, lam):
+    """S = Z + D of one component (V, R) via a single-component
+    MixtureParameters."""
+    params = MixtureParameters(Z=Z, X=X[None], lam=lam[None],
+                               nu0=np.ones(1), nu1=np.ones(1), pY1=0.5, T=0)
+    return params.similarities()[0]
+
+
 def test_component_similarity_zero_weight_is_Z():
-    m = edge_index_map(4)
     Z = np.arange(6, dtype=float)
-    comp = ComponentFactors(X=np.random.default_rng(0).standard_normal((4, 2)),
-                            lam=np.zeros(2))
-    assert np.array_equal(component_similarity(Z, comp, m), Z)
+    X = np.random.default_rng(0).standard_normal((4, 2))
+    assert np.array_equal(_component_similarity(Z, X, np.zeros(2)), Z)
 
 
 def test_component_similarity_dead_column_irrelevant():
-    m = edge_index_map(4)
     Z = np.zeros(6)
     rng = np.random.default_rng(1)
     X = rng.standard_normal((4, 2))
     lam = np.array([1.0, 0.0])
-    S = component_similarity(Z, ComponentFactors(X=X, lam=lam), m)
+    S = _component_similarity(Z, X, lam)
     X2 = X.copy()
     X2[:, 1] = rng.standard_normal(4)  # only the dead column changes
-    S2 = component_similarity(Z, ComponentFactors(X=X2, lam=lam), m)
+    S2 = _component_similarity(Z, X2, lam)
     assert np.allclose(S, S2, atol=0, rtol=0)
 
 
 def test_component_similarity_frozen_rank_one():
     # V=4, Z=0, lam=(2,), X = (1, -1, 3, 0): D_l = 2 x_v x_u columnwise
-    m = edge_index_map(4)
-    comp = ComponentFactors(X=np.array([[1.0], [-1.0], [3.0], [0.0]]),
-                            lam=np.array([2.0]))
-    S = component_similarity(np.zeros(6), comp, m)
+    S = _component_similarity(np.zeros(6),
+                              np.array([[1.0], [-1.0], [3.0], [0.0]]),
+                              np.array([2.0]))
     assert np.allclose(S, [-2.0, 6.0, 0.0, -6.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -146,10 +149,10 @@ def test_similarity_column_sign_flip_invariant(seed, col):
     Z = rng.standard_normal(m.L)
     X = rng.standard_normal((5, 3))
     lam = rng.gamma(1.0, 1.0, 3)
-    S = component_similarity(Z, ComponentFactors(X=X, lam=lam), m)
+    S = _component_similarity(Z, X, lam)
     Xf = X.copy()
     Xf[:, col] = -Xf[:, col]
-    Sf = component_similarity(Z, ComponentFactors(X=Xf, lam=lam), m)
+    Sf = _component_similarity(Z, Xf, lam)
     assert np.allclose(S, Sf, atol=1e-12, rtol=0)
 
 
@@ -174,13 +177,14 @@ def test_logistic_map_monotone_and_open_interval():
 def _two_component_params(V=4, seed=0):
     rng = np.random.default_rng(seed)
     L = edge_count(V)
-    comps = (ComponentFactors(X=rng.standard_normal((V, 2)),
-                              lam=rng.gamma(1.0, 0.5, 2)),
-             ComponentFactors(X=rng.standard_normal((V, 2)),
-                              lam=rng.gamma(1.0, 0.5, 2)))
+    X, lam = [], []
+    for _ in range(2):  # draw order: X then lam, component by component
+        X.append(rng.standard_normal((V, 2)))
+        lam.append(rng.gamma(1.0, 0.5, 2))
     nu0 = rng.dirichlet(np.ones(2))
     nu1 = rng.dirichlet(np.ones(2))
-    return MixtureParameters(Z=rng.standard_normal(L), components=comps,
+    return MixtureParameters(Z=rng.standard_normal(L), X=np.stack(X),
+                             lam=np.stack(lam),
                              nu0=nu0, nu1=nu1, pY1=float(rng.uniform(0.2, 0.8)),
                              T=1)
 
@@ -243,8 +247,8 @@ def test_bernoulli_log_pmf_degenerate_convention():
 @settings(max_examples=25, deadline=None)
 def test_conditional_pmf_component_permutation_invariant(seed):
     params = _two_component_params(V=4, seed=seed)
-    swapped = MixtureParameters(Z=params.Z,
-                                components=params.components[::-1],
+    swapped = MixtureParameters(Z=params.Z, X=params.X[::-1],
+                                lam=params.lam[::-1],
                                 nu0=params.nu0[::-1], nu1=params.nu1[::-1],
                                 pY1=params.pY1, T=params.T)
     a = (np.random.default_rng(seed).random(6) < 0.5).astype(np.int8)
@@ -285,9 +289,9 @@ def test_sample_cohort_group_separation():
     # group 0 pinned to the sparse component, group 1 to the dense one
     V, L = 6, 15
     base = np.full(L, -1.4)  # expit ~ 0.2
-    comps = (ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0])),
-             ComponentFactors(X=np.ones((V, 1)), lam=np.array([2.8])))
-    params = MixtureParameters(Z=base, components=comps,
+    params = MixtureParameters(Z=base,
+                               X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
+                               lam=np.array([[0.0], [2.8]]),
                                nu0=np.array([1.0, 0.0]),
                                nu1=np.array([0.0, 1.0]), pY1=0.5, T=1)
     obs = sample_cohort(params, 200, 200, np.random.default_rng(9))
@@ -320,18 +324,31 @@ def test_network_observation_validation():
 def test_mixture_parameters_validation():
     good = _two_component_params()
     with pytest.raises(ValueError, match="sum to 1"):
-        MixtureParameters(Z=good.Z, components=good.components,
+        MixtureParameters(Z=good.Z, X=good.X, lam=good.lam,
                           nu0=np.array([0.5, 0.6]), nu1=good.nu1,
                           pY1=0.5, T=1)
     with pytest.raises(ValueError, match="nu0 == nu1"):
-        MixtureParameters(Z=good.Z, components=good.components,
+        MixtureParameters(Z=good.Z, X=good.X, lam=good.lam,
                           nu0=np.array([0.4, 0.6]), nu1=np.array([0.6, 0.4]),
                           pY1=0.5, T=0)
     with pytest.raises(ValueError, match="pY1"):
-        MixtureParameters(Z=good.Z, components=good.components,
+        MixtureParameters(Z=good.Z, X=good.X, lam=good.lam,
                           nu0=good.nu0, nu1=good.nu1, pY1=1.0, T=1)
-    with pytest.raises(ValueError, match="lam"):
-        ComponentFactors(X=np.zeros((3, 1)), lam=np.array([-0.1]))
+    lam = good.lam.copy()
+    lam[1, 0] = -0.1
+    bad_factors = [
+        (good.X[0], good.lam, "X must be"),            # X not 3-d
+        (good.X[:, :3], good.lam, "X must be"),        # V != 4 of Z
+        (good.X[:0], good.lam[:0], "X must be"),       # H = 0
+        (good.X, good.lam[:, :1], "lam must be"),      # lam not (H, R)
+        (good.X, good.lam[0], "lam must be"),
+        (good.X, lam, "nonnegative"),
+        (np.full_like(good.X, np.nan), good.lam, "finite"),
+    ]
+    for X, lam, message in bad_factors:
+        with pytest.raises(ValueError, match=message):
+            MixtureParameters(Z=good.Z, X=X, lam=lam, nu0=good.nu0,
+                              nu1=good.nu1, pY1=0.5, T=1)
 
 
 def test_group_edge_probability_mixes_components():

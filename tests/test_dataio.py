@@ -1,5 +1,6 @@
 """File formats: adjacency files, manifests, config, archives, artifacts."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from netmix.cli import run_cli
 from netmix.core import NetworkObservation
 from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
-                           NodeMetadata, atomic_write_text, load_dataset,
-                           load_draws, load_node_metadata, load_test_report,
-                           parse_config, read_adjacency_file,
+                           NodeMetadata, atomic_write_text,
+                           load_classification, load_dataset, load_draws,
+                           load_draws_meta, load_node_metadata,
+                           load_test_report, parse_config, read_adjacency_file,
                            render_report, save_classification, save_draws,
                            save_test_report, write_dataset, write_degree_table,
                            write_difference_matrix, write_edge_table,
@@ -368,17 +370,22 @@ def _zero_draws(tmp_path):
     (lambda t: _forged(t, lambda h: {**h, "meta": {**h["meta"], "V": 5}}),
      r"meta \{'V': 5\} disagrees"),
     (_zero_draws, "at least one draw"),
+    (lambda t: _valid_blob(t)[:-4], "truncated array"),
 ], ids=["list-header", "no-meta", "no-arrays", "dtype-zz", "dtype-object",
         "negative-shape", "float-shape", "Z-shape", "assignments-shape", "meta-V",
-        "zero-draws"])
+        "zero-draws", "truncated"])
 def test_draws_archive_rejects_malformed_header(tmp_path, capsys, make, pattern):
     _expect_archive_error(tmp_path, make(tmp_path), pattern)
+    with pytest.raises(ArchiveError, match=pattern):
+        load_draws_meta(tmp_path / "bad.bin")
     # the command line reports it as one line, with no traceback
-    assert run_cli(["test", "--archive", str(tmp_path / "bad.bin"),
-                    "--out-dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    for command in ("test", "report"):
+        assert run_cli([command, "--archive", str(tmp_path / "bad.bin"),
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert re.search(pattern, err)
+        assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------- test report
@@ -485,6 +492,21 @@ def test_save_classification(tmp_path):
     payload = json.loads(path.read_text())
     assert payload == {"auc": 0.975, "accuracy": 0.9, "n_subjects": 8,
                        "threshold": 0.5}
+    assert load_classification(path) == payload
+
+
+@pytest.mark.parametrize("text,pattern", [
+    ("[1,2]", "JSON object"),
+    ('{"n_subjects": 3}', "'auc' must be a number"),
+    ('{"auc": 0.5, "accuracy": "high", "n_subjects": 3}', "'accuracy'"),
+    ('{"auc": 0.5, "accuracy": 0.5, "n_subjects": true}', "'n_subjects'"),
+    ('{"auc": 0.5,', "corrupt JSON"),
+])
+def test_load_classification_errors(tmp_path, text, pattern):
+    path = tmp_path / "clf.json"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=pattern):
+        load_classification(path)
 
 
 # ------------------------------------------------------------- report

@@ -7,7 +7,7 @@ from scipy.special import betaln, expit, logit
 from scipy.stats import kendalltau
 
 from netmix import inference
-from netmix.core import ComponentFactors, MixtureParameters, sample_cohort
+from netmix.core import MixtureParameters, sample_cohort
 from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
                               _component_log_liks, as_cohort, gibbs_sweep,
                               log_joint, run_chain, update_assignments,
@@ -19,8 +19,12 @@ from netmix.synthetic import shifted_mixture_truth
 # ----------------------------------------------------------- helpers
 
 
-def _flat_component(V):
-    return ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0]))
+def _flat_params(V):
+    """One component at log-odds 0 on every edge."""
+    return MixtureParameters(Z=np.zeros(V * (V - 1) // 2),
+                             X=np.zeros((1, V, 1)), lam=np.zeros((1, 1)),
+                             nu0=np.array([1.0]), nu1=np.array([1.0]),
+                             pY1=0.5, T=0)
 
 
 def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
@@ -28,10 +32,10 @@ def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
     and p_low (index 1); the nonnegative weight carries the high side."""
     L = V * (V - 1) // 2
     gap = float(logit(p_high) - logit(p_low))
-    comps = (ComponentFactors(X=np.ones((V, 1)), lam=np.array([gap])),
-             _flat_component(V))
     return MixtureParameters(Z=np.full(L, float(logit(p_low))),
-                             components=comps, nu0=np.asarray(nu0, float),
+                             X=np.stack([np.ones((V, 1)), np.zeros((V, 1))]),
+                             lam=np.array([[gap], [0.0]]),
+                             nu0=np.asarray(nu0, float),
                              nu1=np.asarray(nu1, float), pY1=pY1, T=T)
 
 
@@ -118,10 +122,7 @@ def test_cohort_validation():
 
 def test_assignments_single_component():
     V = 4
-    comp = _flat_component(V)
-    params = MixtureParameters(Z=np.zeros(6), components=(comp,),
-                               nu0=np.array([1.0]), nu1=np.array([1.0]),
-                               pY1=0.5, T=0)
+    params = _flat_params(V)
     cohort = _cohort_from_edges(np.eye(6)[:3], [0, 0, 1], V)
     state = _state_for(params, np.ones((1, 1)), 3)
     G = update_assignments(state.Z + state.D, state.nu, cohort,
@@ -161,10 +162,7 @@ def test_assignments_overwhelming_likelihood():
 
 def test_omega_zero_tilt_moments():
     V = 4
-    comp = _flat_component(V)
-    params = MixtureParameters(Z=np.zeros(6), components=(comp,),
-                               nu0=np.array([1.0]), nu1=np.array([1.0]),
-                               pY1=0.5, T=0)
+    params = _flat_params(V)
     cohort = _cohort_from_edges(np.zeros((400, 6)), [0] * 200 + [1] * 200, V)
     state = _state_for(params, np.ones((1, 1)), 400)
     S = state.Z + state.D
@@ -216,10 +214,7 @@ def test_omega_sums_are_per_component_sums_of_the_draws(monkeypatch):
 
 def test_update_Z_no_data_is_prior():
     hyper = HyperParameters(V=4, H=1, R=1, z_mean=0.5, z_var=2.0)
-    comp = _flat_component(4)
-    params = MixtureParameters(Z=np.zeros(6), components=(comp,),
-                               nu0=np.array([1.0]), nu1=np.array([1.0]),
-                               pY1=0.5, T=0)
+    params = _flat_params(4)
     state = _state_for(params, np.ones((1, 1)), 0)
     cohort = _empty_cohort(4)
     rng = np.random.default_rng(7)
@@ -304,9 +299,9 @@ def test_update_factors_keeps_lam_consistent():
     assert np.array_equal(state.Xbar, before[0])  # inputs left untouched
     assert np.array_equal(state.theta, before[1])
     new = replace(state, Xbar=Xbar, theta=th)
-    for h, comp in enumerate(new.to_params().components):
-        assert np.allclose(comp.lam, np.cumprod(1.0 / th[h]), rtol=1e-10)
-        assert (comp.lam > 0).all()
+    lam = new.to_params().lam
+    assert np.allclose(lam, np.cumprod(1.0 / th, axis=1), rtol=1e-10)
+    assert (lam > 0).all()
 
 
 def test_sign_flip_does_not_change_downstream_updates():
@@ -315,11 +310,10 @@ def test_sign_flip_does_not_change_downstream_updates():
     hyper = HyperParameters(V=4, H=1, R=2)
     rng = np.random.default_rng(9)
     params, theta = sample_prior(hyper, rng)
-    comp = params.components[0]
-    Xf = comp.X.copy()
-    Xf[:, 0] = -Xf[:, 0]
+    Xf = params.X.copy()
+    Xf[0, :, 0] = -Xf[0, :, 0]
     flipped = MixtureParameters(
-        Z=params.Z, components=(ComponentFactors(X=Xf, lam=comp.lam),),
+        Z=params.Z, X=Xf, lam=params.lam,
         nu0=params.nu0, nu1=params.nu1, pY1=params.pY1, T=params.T)
     assert np.allclose(params.similarities(), flipped.similarities(),
                        atol=1e-12)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
-from netmix.core import (ComponentFactors, MixtureParameters,
-                         conditional_log_pmf, marginal_log_pmf)
+from netmix.core import (MixtureParameters, conditional_log_pmf,
+                         marginal_log_pmf)
 from netmix.oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
 from netmix.priors import HyperParameters, sample_prior
 from netmix.testing import cramers_v
@@ -12,9 +12,9 @@ from netmix.testing import cramers_v
 
 def _single_component_params(V, pi_value):
     L = V * (V - 1) // 2
-    comp = ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0]))
     return MixtureParameters(Z=np.full(L, float(logit(pi_value))),
-                             components=(comp,), nu0=np.array([1.0]),
+                             X=np.zeros((1, V, 1)), lam=np.zeros((1, 1)),
+                             nu0=np.array([1.0]),
                              nu1=np.array([1.0]), pY1=0.5, T=0)
 
 
@@ -22,10 +22,10 @@ def _two_level_params(p_low, p_high, V=4):
     # group 0 sits on the p_low component, group 1 on p_high
     L = V * (V - 1) // 2
     gap = float(logit(p_high) - logit(p_low))
-    comps = (ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0])),
-             ComponentFactors(X=np.ones((V, 1)), lam=np.array([gap])))
     return MixtureParameters(Z=np.full(L, float(logit(p_low))),
-                             components=comps, nu0=np.array([1.0, 0.0]),
+                             X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
+                             lam=np.array([[0.0], [gap]]),
+                             nu0=np.array([1.0, 0.0]),
                              nu1=np.array([0.0, 1.0]), pY1=0.5, T=1)
 
 

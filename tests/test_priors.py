@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
 from scipy.stats import dirichlet, gamma, norm
 
-from netmix.core import (ComponentFactors, MixtureParameters, joint_log_pmf,
-                         sample_joint_cohort)
+from netmix.core import MixtureParameters, joint_log_pmf, sample_joint_cohort
 from netmix.priors import (HyperParameters, log_prior_density,
                            mixing_weights_log_prior, sample_prior)
 
@@ -49,8 +48,8 @@ def test_sample_prior_shapes_and_support():
     assert params.V == 5 and params.H == 3 and params.R == 2
     assert theta.shape == (3, 2)
     assert (theta > 0).all()
-    for h, comp in enumerate(params.components):
-        assert np.allclose(comp.lam, np.cumprod(1.0 / theta[h]), rtol=1e-12)
+    assert np.allclose(params.lam, np.cumprod(1.0 / theta, axis=1),
+                       rtol=1e-12)
     assert 0.0 < params.pY1 < 1.0
     pi = params.edge_probabilities()
     assert ((pi > 0) & (pi < 1)).all()
@@ -101,8 +100,7 @@ def test_log_prior_density_matches_scipy():
     expected = beta_dist.logpdf(params.pY1, hyper.a1, hyper.a0)
     expected += norm.logpdf(params.Z, hyper.z_mean,
                             np.sqrt(hyper.z_var)).sum()
-    for comp in params.components:
-        expected += norm.logpdf(comp.X).sum()
+    expected += norm.logpdf(params.X).sum()
     shapes = np.full(hyper.R, hyper.mig_a2)
     shapes[0] = hyper.mig_a1
     expected += gamma.logpdf(theta, shapes).sum()
@@ -121,13 +119,10 @@ def test_log_prior_density_matches_scipy():
 def test_log_prior_density_column_sign_flip_invariant():
     hyper = HyperParameters(V=4, H=2, R=2)
     params, theta = sample_prior(hyper, np.random.default_rng(5))
-    comp = params.components[0]
-    Xf = comp.X.copy()
-    Xf[:, 1] = -Xf[:, 1]
+    Xf = params.X.copy()
+    Xf[0, :, 1] = -Xf[0, :, 1]
     flipped = MixtureParameters(
-        Z=params.Z,
-        components=(ComponentFactors(X=Xf, lam=comp.lam),
-                    params.components[1]),
+        Z=params.Z, X=Xf, lam=params.lam,
         nu0=params.nu0, nu1=params.nu1, pY1=params.pY1, T=params.T)
     a = log_prior_density(params, theta, hyper)
     b = log_prior_density(flipped, theta, hyper)

@@ -4,8 +4,7 @@ import pytest
 from scipy.special import logit
 
 from netmix import testing
-from netmix.core import (ComponentFactors, MixtureParameters,
-                         conditional_log_pmf, sample_cohort)
+from netmix.core import MixtureParameters, conditional_log_pmf, sample_cohort
 from netmix.inference import (CohortData, PosteriorDraws, SamplerConfig,
                               run_chain)
 from netmix.priors import HyperParameters
@@ -19,17 +18,13 @@ from netmix.testing import test_degree as flag_degree
 # ----------------------------------------------------------- helpers
 
 
-def _flat_component(V):
-    return ComponentFactors(X=np.zeros((V, 1)), lam=np.array([0.0]))
-
-
 def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
     L = V * (V - 1) // 2
     gap = float(logit(p_high) - logit(p_low))
-    comps = (ComponentFactors(X=np.ones((V, 1)), lam=np.array([gap])),
-             _flat_component(V))
     return MixtureParameters(Z=np.full(L, float(logit(p_low))),
-                             components=comps, nu0=np.asarray(nu0, float),
+                             X=np.stack([np.ones((V, 1)), np.zeros((V, 1))]),
+                             lam=np.array([[gap], [0.0]]),
+                             nu0=np.asarray(nu0, float),
                              nu1=np.asarray(nu1, float), pY1=pY1, T=T)
 
 
@@ -45,10 +40,8 @@ def _tied_params(V=4):
 def _draws_from_params(params_list, single_group=False):
     """Hand-packed PosteriorDraws for testing the posterior functionals."""
     Z = np.stack([p.Z for p in params_list])
-    X = np.stack([np.stack([c.X for c in p.components])
-                  for p in params_list])
-    lam = np.stack([np.stack([c.lam for c in p.components])
-                    for p in params_list])
+    X = np.stack([p.X for p in params_list])
+    lam = np.stack([p.lam for p in params_list])
     nu = np.stack([np.stack([p.nu0, p.nu1]) for p in params_list])
     return PosteriorDraws(
         Z=Z, X=X, lam=lam, theta=np.ones_like(lam), nu=nu,
@@ -150,8 +143,7 @@ def test_edge_difference_values():
 
 def test_functionals_invariant_to_component_relabeling():
     p = _gap_params()
-    swapped = MixtureParameters(Z=p.Z,
-                                components=(p.components[1], p.components[0]),
+    swapped = MixtureParameters(Z=p.Z, X=p.X[::-1], lam=p.lam[::-1],
                                 nu0=p.nu0[::-1].copy(), nu1=p.nu1[::-1].copy(),
                                 pY1=p.pY1, T=p.T)
     a, b = _draws_from_params([p]), _draws_from_params([swapped])
@@ -303,8 +295,7 @@ def test_classify_separates_extreme_networks():
 
 def test_classify_relabeling_invariance():
     p = _gap_params()
-    swapped = MixtureParameters(Z=p.Z,
-                                components=(p.components[1], p.components[0]),
+    swapped = MixtureParameters(Z=p.Z, X=p.X[::-1], lam=p.lam[::-1],
                                 nu0=p.nu0[::-1].copy(), nu1=p.nu1[::-1].copy(),
                                 pY1=p.pY1, T=p.T)
     rng = np.random.default_rng(2)
