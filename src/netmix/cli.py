@@ -128,7 +128,7 @@ def _write_draws_csv(draws: PosteriorDraws, path) -> None:
 
 def _cmd_fit(args) -> int:
     cfg = dataio.parse_config(args.config) if args.config else {}
-    observations, _ = dataio.load_dataset(args.manifest, args.metadata)
+    observations, _ = dataio.load_dataset(args.manifest)
     cohort = CohortData.from_observations(observations)
     hyper = _build_hyper(cfg, cohort.V)
     config = _build_sampler(cfg, args.seed)
@@ -211,7 +211,8 @@ def _cmd_report(args) -> int:
     out = Path(args.out_dir)
     fit_meta = None
     archive = Path(args.archive) if args.archive else out / "draws.bin"
-    if archive.exists():
+    # only the default archive may be absent; a named one must be read
+    if args.archive or archive.exists():
         fit_meta = dataio.load_draws_meta(archive)
     test_report = None
     if (out / "test_report.json").exists():
@@ -243,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None,
                    help="hyper/sampler config; defaults apply if omitted")
-    p.add_argument("--metadata", default=None, help="node metadata CSV")
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config seed")
     p.add_argument("--format", choices=("binary", "csv"), default="binary",

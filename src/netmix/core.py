@@ -322,14 +322,20 @@ def component_log_pmf(a: np.ndarray, pi: np.ndarray) -> float:
     return float(a @ np.log(pi) + (1.0 - a) @ np.log1p(-pi))
 
 
+def _component_log_liks(S: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(..., n, H) log-likelihoods sum_l A_il S_hl - softplus(S_hl) of edge
+    rows A (n, L) under log-odds S (..., H, L); raises on non-finite S.
+    softplus is max(s, 0) + log1p(e^-|s|), exact at saturated log-odds."""
+    if not np.isfinite(S).all():
+        raise ValueError("log-odds must be finite")
+    softplus = np.maximum(S, 0.0) + np.log1p(np.exp(-np.abs(S)))
+    return A @ np.swapaxes(S, -1, -2) - softplus.sum(axis=-1)[..., None, :]
+
+
 def _mixture_log_pmf(a: np.ndarray, params: MixtureParameters,
                      weights: np.ndarray) -> float:
     a = _check_edges(a, params.L)
-    S = params.similarities()
-    # softplus(s) = log(1+e^s) evaluated stably; per-component log pmf is
-    # sum_l a_l S_l - softplus(S_l)
-    sp = np.logaddexp(0.0, S)
-    comp_lp = S @ a - sp.sum(axis=1)
+    comp_lp = _component_log_liks(params.similarities(), a[None])[0]
     mask = weights > 0.0
     if not mask.any():
         return float("-inf")
@@ -353,11 +359,13 @@ def joint_log_pmf(y: int, a: np.ndarray, params: MixtureParameters) -> float:
     return bernoulli_log_pmf(y, params.pY1) + conditional_log_pmf(a, params, y)
 
 
-def _categorical(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf categorical draws from uniforms; deterministic given u."""
-    cum = np.cumsum(p)
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
-    return np.minimum(idx, p.shape[0] - 1)
+def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-cdf categorical draws, one per row of unnormalized probs
+    (..., H) and uniform u (...): the first h whose cumulative sum exceeds
+    u times the row total. Rows of probs broadcast against u."""
+    cum = np.cumsum(probs, axis=-1)
+    idx = np.sum(cum <= u[..., None] * cum[..., -1:], axis=-1)
+    return np.minimum(idx, probs.shape[-1] - 1)
 
 
 def sample_network(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:

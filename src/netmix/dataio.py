@@ -99,12 +99,11 @@ class NodeMetadata:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """What a cohort was loaded from: (subject_id, label, path) triples,
-    the node count, and node metadata when supplied."""
+    """What a cohort was loaded from: (subject_id, label, path) triples
+    and the node count."""
 
     subjects: tuple[tuple[str, int, str], ...]
     V: int
-    node_metadata: tuple[NodeMetadata, ...] | None = None
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -222,11 +221,11 @@ def load_node_metadata(path) -> tuple[NodeMetadata, ...]:
     return tuple(nodes)
 
 
-def load_dataset(manifest_path, metadata_path=None):
+def load_dataset(manifest_path):
     """Read a manifest and every adjacency file it references.
 
     Returns (observations, DatasetManifest). All subjects must share one
-    node count; node metadata, when given, must have exactly V rows.
+    node count.
     """
     manifest_path = Path(manifest_path)
     reader = csv.reader(io.StringIO(_read_text(manifest_path)))
@@ -264,17 +263,7 @@ def load_dataset(manifest_path, metadata_path=None):
                 f"{manifest_path}: subject {sid!r} has {obs.V} nodes, "
                 f"others have {V}")
         observations.append(obs)
-
-    metadata = None
-    if metadata_path is not None:
-        metadata = load_node_metadata(metadata_path)
-        if len(metadata) != V:
-            raise DataFormatError(
-                f"{metadata_path}: {len(metadata)} node rows but networks "
-                f"have V={V} nodes")
-    manifest = DatasetManifest(subjects=tuple(entries), V=V,
-                               node_metadata=metadata)
-    return observations, manifest
+    return observations, DatasetManifest(subjects=tuple(entries), V=V)
 
 
 def write_dataset(out_dir, observations) -> Path:

@@ -26,13 +26,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import logsumexp
 
-from .core import (MixtureParameters, NetworkObservation, _deviations,
-                   edge_index_map)
+from .core import (MixtureParameters, NetworkObservation, _categorical,
+                   _component_log_liks, _deviations, edge_index_map)
 from .pg import polya_gamma
-from .priors import (HyperParameters, _theta_shapes, log_prior_from_arrays,
-                     sample_prior)
+from .priors import (HyperParameters, _draw_weights_and_T, _theta_shapes,
+                     log_prior_from_arrays, sample_prior)
 
 __all__ = [
     "SamplerConfig",
@@ -190,38 +190,33 @@ class AugmentedState:
                                  pY1=self.pY1, T=self.T)
 
 
-def _component_log_liks(S: np.ndarray, cohort: CohortData) -> np.ndarray:
-    """(n, H) matrix of log p(a_i | component h), omega marginalized out."""
-    return cohort.A @ S.T - np.logaddexp(0.0, S).sum(axis=1)
-
-
-def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One inverse-cdf categorical draw per row of unnormalized probs."""
-    cum = np.cumsum(probs, axis=1)
-    G = np.sum(cum < rng.random(probs.shape[0])[:, None] * cum[:, -1:], axis=1)
-    return np.minimum(G, probs.shape[1] - 1).astype(np.int64)
-
-
 def update_assignments(S: np.ndarray, nu: np.ndarray, cohort: CohortData,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw assignments from Pr(G_i = h) proportional to nu_{y_i,h} times
     the Bernoulli likelihood of subject i under similarities S_h."""
     with np.errstate(divide="ignore"):
         lognu = np.log(nu)
-    logpost = _component_log_liks(S, cohort) + lognu[cohort.y]
+    logpost = _component_log_liks(S, cohort.A) + lognu[cohort.y]
     logpost -= logsumexp(logpost, axis=1, keepdims=True)
-    return _categorical_rows(np.exp(logpost), rng)
+    return _categorical(np.exp(logpost), rng.random(cohort.n))
+
+
+def _component_sums(x: np.ndarray, assignments: np.ndarray,
+                    H: int) -> np.ndarray:
+    """(H, L) sums of the rows of x (n, L) by component: row h sums the
+    rows i with assignments[i] == h and is zero for an empty component."""
+    sums = np.zeros((H, x.shape[1]))
+    for h in np.unique(assignments):
+        sums[h] = x[assignments == h].sum(axis=0)
+    return sums
 
 
 def update_omega(S: np.ndarray, assignments: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw omega_il ~ PG(1, S_l of subject i's component) exactly and
     return its per-component sums W (H, L), W_h = sum_{i: G_i = h} omega_i."""
-    omega = polya_gamma(S[assignments], rng)
-    W = np.zeros_like(S)
-    for h in np.unique(assignments):
-        W[h] = omega[assignments == h].sum(axis=0)
-    return W
+    return _component_sums(polya_gamma(S[assignments], rng), assignments,
+                           S.shape[0])
 
 
 def update_Z(D: np.ndarray, W: np.ndarray, cohort: CohortData,
@@ -250,8 +245,7 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
-    kappa = np.stack([(cohort.A[assignments == h] - 0.5).sum(axis=0)
-                      for h in range(H)]) - Z * W
+    kappa = _component_sums(cohort.A - 0.5, assignments, H) - Z * W
     Wm = np.zeros((H, V, V))
     Wm[:, emap.rows0, emap.cols0] = Wm[:, emap.cols0, emap.rows0] = W
     Km = np.zeros((H, V, V))
@@ -293,39 +287,15 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     return Xbar, theta
 
 
-def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
-    H = counts.shape[0]
-    N = counts.sum()
-    return float(gammaln(H * conc) - gammaln(H * conc + N)
-                 + np.sum(gammaln(conc + counts) - gammaln(conc)))
-
-
 def update_weights_and_T(assignments: np.ndarray, cohort: CohortData,
                          hyper: HyperParameters,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Joint draw of (T, nu0, nu1) given assignments, with nu collapsed out
     of the T step (Dirichlet-multinomial marginals)."""
-    H = hyper.H
-    counts0 = np.bincount(assignments[cohort.y == 0], minlength=H).astype(float)
-    counts1 = np.bincount(assignments[cohort.y == 1], minlength=H).astype(float)
-    conc = hyper.dirichlet_conc
-    with np.errstate(divide="ignore"):
-        prior_t1 = float(np.log(hyper.prior_T1))
-        prior_t0 = float(np.log1p(-hyper.prior_T1))
-    log_t1 = (prior_t1
-              + _log_dirichlet_multinomial(counts0, conc)
-              + _log_dirichlet_multinomial(counts1, conc))
-    log_t0 = prior_t0 + _log_dirichlet_multinomial(counts0 + counts1, conc)
-    prob_t1 = float(expit(log_t1 - log_t0))
-    T = int(rng.random() < prob_t1)
-    alpha = np.full(H, conc)
-    if T == 1:
-        nu0 = rng.dirichlet(alpha + counts0)
-        nu1 = rng.dirichlet(alpha + counts1)
-    else:
-        nu0 = rng.dirichlet(alpha + counts0 + counts1)
-        nu1 = nu0.copy()
-    return nu0, nu1, T
+    counts0, counts1 = (np.bincount(assignments[cohort.y == y],
+                                    minlength=hyper.H).astype(float)
+                        for y in (0, 1))
+    return _draw_weights_and_T(counts0, counts1, hyper, rng)
 
 
 def update_pY(cohort: CohortData, hyper: HyperParameters,
@@ -356,7 +326,7 @@ def log_joint(state: AugmentedState, cohort: CohortData,
     with omega marginalized out. Used for the convergence trace."""
     lp = log_prior_from_arrays(state.Z, state.X, state.theta, state.nu,
                                state.pY1, state.T, hyper)
-    loglik = _component_log_liks(state.Z + state.D, cohort)
+    loglik = _component_log_liks(state.Z + state.D, cohort.A)
     lp += float(loglik[np.arange(cohort.n), state.assignments].sum())
     picked = state.nu[cohort.y, state.assignments]
     with np.errstate(divide="ignore"):
@@ -411,7 +381,8 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
                          f"hyperparameters say V={hyper.V}")
     rng = np.random.default_rng(config.seed)
     params, theta = sample_prior(hyper, rng)
-    G = _categorical_rows(np.stack([params.nu0, params.nu1])[cohort.y], rng)
+    G = _categorical(np.stack([params.nu0, params.nu1])[cohort.y],
+                     rng.random(cohort.n))
     state = AugmentedState.from_params(params, theta, G)
 
     K = config.n_draws

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from .core import MixtureParameters, edge_count
 
@@ -88,17 +88,43 @@ def sample_prior(hyper: HyperParameters,
     theta = rng.gamma(shape=shapes, scale=1.0, size=(hyper.H, hyper.R))
     lam = np.cumprod(1.0 / theta, axis=1)
     X = rng.standard_normal((hyper.H, hyper.V, hyper.R))
-    T = int(rng.random() < hyper.prior_T1)
-    alpha = np.full(hyper.H, hyper.dirichlet_conc)
-    if T == 1:
-        nu0 = rng.dirichlet(alpha)
-        nu1 = rng.dirichlet(alpha)
-    else:
-        nu0 = rng.dirichlet(alpha)
-        nu1 = nu0.copy()
+    nu0, nu1, T = _draw_weights_and_T(np.zeros(hyper.H), np.zeros(hyper.H),
+                                      hyper, rng)
     params = MixtureParameters(Z=Z, X=X, lam=lam, nu0=nu0, nu1=nu1,
                                pY1=pY1, T=T)
     return params, theta
+
+
+def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
+    H = counts.shape[0]
+    N = counts.sum()
+    return float(gammaln(H * conc) - gammaln(H * conc + N)
+                 + np.sum(gammaln(conc + counts) - gammaln(conc)))
+
+
+def _draw_weights_and_T(counts0: np.ndarray, counts1: np.ndarray,
+                        hyper: HyperParameters, rng: np.random.Generator
+                        ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Joint draw of (nu0, nu1, T) given per-group component counts, nu
+    collapsed out of the T step (Dirichlet-multinomial marginals). Zero
+    counts draw from the prior: the marginals vanish, Pr(T=1) = prior_T1."""
+    conc = hyper.dirichlet_conc
+    with np.errstate(divide="ignore"):
+        prior_t1 = float(np.log(hyper.prior_T1))
+        prior_t0 = float(np.log1p(-hyper.prior_T1))
+    log_t1 = (prior_t1
+              + _log_dirichlet_multinomial(counts0, conc)
+              + _log_dirichlet_multinomial(counts1, conc))
+    log_t0 = prior_t0 + _log_dirichlet_multinomial(counts0 + counts1, conc)
+    T = int(rng.random() < expit(log_t1 - log_t0))
+    alpha = np.full(hyper.H, conc)
+    if T == 1:
+        nu0 = rng.dirichlet(alpha + counts0)
+        nu1 = rng.dirichlet(alpha + counts1)
+    else:
+        nu0 = rng.dirichlet(alpha + counts0 + counts1)
+        nu1 = nu0.copy()
+    return nu0, nu1, T
 
 
 def _dirichlet_log_pdf(w: np.ndarray, alpha: np.ndarray) -> float:

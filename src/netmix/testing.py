@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import expit, logit, logsumexp
 from scipy.stats import fisher_exact, rankdata
 
-from .core import (MixtureParameters, _deviations, edge_index_map,
-                   logistic_map, node_count)
+from .core import (MixtureParameters, _component_log_liks, _deviations,
+                   edge_index_map, logistic_map, node_count)
 from .inference import PosteriorDraws, as_cohort
 
 __all__ = [
@@ -153,17 +153,23 @@ def cramers_v(params: MixtureParameters) -> np.ndarray:
     return cramers_v_from_probs(p0, p1, params.pY1)
 
 
-_BLOCK_BYTES = 2 * 2**20  # cap on one block's (k, H, V, V) Gram matrices
+# cap on one block's (k, H, V, V) Gram matrices (one draw at V=68, H=15).
+# A block's temporaries must stay small enough for malloc to recycle them
+# from its heap: blocks of several MiB are handed back to the OS and
+# faulted in again on every call unless the heap's trim threshold has grown
+# past them, which makes post-fit time depend on the allocation history.
+_BLOCK_BYTES = 2**20
 
 
-def _edge_probability_blocks(draws: PosteriorDraws):
-    """Yield (draw slice, (k, H, L) edge probabilities) block by block."""
+def _edge_log_odds_blocks(draws: PosteriorDraws):
+    """Yield (draw slice, (k, H, L) edge log-odds) block by block."""
     K, H, V, _ = draws.X.shape
     step = max(1, _BLOCK_BYTES // (8 * H * V * V))
     for sl in (slice(i, i + step) for i in range(0, K, step)):
         X = draws.X[sl]
-        D = _deviations(X * draws.lam[sl][:, :, None, :], X)
-        yield sl, logistic_map(draws.Z[sl][:, None, :] + D)
+        S = _deviations(X * draws.lam[sl][:, :, None, :], X)
+        S += draws.Z[sl][:, None, :]
+        yield sl, S
 
 
 def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -171,8 +177,8 @@ def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.nd
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     exceed = np.zeros(draws.Z.shape[1])
-    for sl, pi in _edge_probability_blocks(draws):
-        p = draws.nu[sl] @ pi
+    for sl, S in _edge_log_odds_blocks(draws):
+        p = draws.nu[sl] @ logistic_map(S)
         rho = cramers_v_from_probs(p[:, 0], p[:, 1], draws.pY1[sl][:, None])
         exceed += (rho > epsilon).sum(axis=0)
     return exceed / draws.n_draws
@@ -181,8 +187,8 @@ def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.nd
 def edge_difference(draws: PosteriorDraws) -> np.ndarray:
     """Posterior mean of group-1 minus group-0 edge probabilities."""
     diff = np.zeros(draws.Z.shape[1])
-    for sl, pi in _edge_probability_blocks(draws):
-        p = draws.nu[sl] @ pi
+    for sl, S in _edge_log_odds_blocks(draws):
+        p = draws.nu[sl] @ logistic_map(S)
         diff += (p[:, 1] - p[:, 0]).sum(axis=0)
     return diff / draws.n_draws
 
@@ -225,10 +231,8 @@ def classify(draws: PosteriorDraws, data) -> ClassificationResult:
     if cohort.V * (cohort.V - 1) // 2 != draws.Z.shape[1]:
         raise ValueError("cohort node count does not match the fitted draws")
     probs = np.zeros(cohort.n)
-    for sl, pi in _edge_probability_blocks(draws):
-        logit_pi = np.log(pi) - np.log1p(-pi)
-        comp_lp = (cohort.A @ logit_pi.transpose(0, 2, 1)
-                   + np.log1p(-pi).sum(axis=2)[:, None, :])  # (k, n, H)
+    for sl, S in _edge_log_odds_blocks(draws):
+        comp_lp = _component_log_liks(S, cohort.A)  # (k, n, H)
         with np.errstate(divide="ignore"):
             lp_y = logsumexp(comp_lp[:, :, None, :], b=draws.nu[sl][:, None],
                              axis=3)  # (k, n, 2)

@@ -293,6 +293,18 @@ def test_report_empty_directory(tmp_path):
     assert "No artifacts found." in (out / "report.md").read_text()
 
 
+def test_report_missing_named_archive(tmp_path, capsys):
+    # only the default out-dir/draws.bin may be absent
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["report", "--out-dir", str(out),
+                    "--archive", str(tmp_path / "missing.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing.bin" in err
+    assert not (out / "report.md").exists()
+
+
 @pytest.mark.parametrize("payload", ["[1,2]", '{"n_subjects": 3}'],
                          ids=["list", "no-auc"])
 def test_report_malformed_classification(workspace, tmp_path, capsys, payload):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmix.core import (MixtureParameters, NetworkObservation,
+from netmix.core import (MixtureParameters, NetworkObservation, _categorical,
                          bernoulli_log_pmf, component_log_pmf,
                          conditional_log_pmf, edge_count, edge_index_map,
                          joint_log_pmf, logistic_map, marginal_log_pmf,
@@ -265,6 +265,14 @@ def test_sample_network_frequency():
     pi = np.full(6, 0.7)
     draws = np.stack([sample_network(pi, rng) for _ in range(10_000)])
     assert np.all(np.abs(draws.mean(axis=0) - 0.7) < 0.02)
+
+
+def test_categorical_skips_zero_probability_components():
+    # u = 0 exactly must not pick a leading component of probability zero
+    assert _categorical(np.array([[0.0, 1.0]]), np.array([0.0]))[0] == 1
+    # one probability row shared by several uniforms
+    assert np.array_equal(_categorical(np.array([0.0, 0.5, 0.5]),
+                                       np.array([0.0, 0.5, 0.999])), [1, 2, 2])
 
 
 def test_sample_network_validates_probs():

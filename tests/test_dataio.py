@@ -162,7 +162,6 @@ def test_write_then_load_dataset(tmp_path):
     assert manifest_path == tmp_path / "data" / "manifest.csv"
     loaded, manifest = load_dataset(manifest_path)
     assert manifest.V == 4
-    assert manifest.node_metadata is None
     assert [o.subject_id for o in loaded] == [o.subject_id for o in obs]
     assert [o.label for o in loaded] == [o.label for o in obs]
     for a, b in zip(loaded, obs):
@@ -170,18 +169,12 @@ def test_write_then_load_dataset(tmp_path):
     assert (tmp_path / "data" / "networks" / "sub00.csv").exists()
 
 
-def test_load_dataset_with_metadata(tmp_path):
-    obs = _toy_observations()
-    manifest_path = write_dataset(tmp_path / "data", obs)
-    meta_path = _write(tmp_path, "nodes.csv",
-                       "name,hemisphere,lobe\n"
-                       "a,L,x\nb,R,x\nc,L,y\nd,R,y\n")
-    _, manifest = load_dataset(manifest_path, meta_path)
-    assert len(manifest.node_metadata) == 4
-    assert manifest.node_metadata[0] == NodeMetadata("a", "L", "x")
-    short = _write(tmp_path, "short.csv", "name,hemisphere,lobe\na,L,x\n")
-    with pytest.raises(DataFormatError, match="networks have V=4"):
-        load_dataset(manifest_path, short)
+def test_load_node_metadata(tmp_path):
+    meta = load_node_metadata(_write(tmp_path, "nodes.csv",
+                                     "name,hemisphere,lobe\n"
+                                     "a,L,x\nb,R,x\nc,L,y\nd,R,y\n"))
+    assert len(meta) == 4
+    assert meta[0] == NodeMetadata("a", "L", "x")
 
 
 def test_load_dataset_errors(tmp_path):

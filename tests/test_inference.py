@@ -7,9 +7,9 @@ from scipy.special import betaln, expit, logit
 from scipy.stats import kendalltau
 
 from netmix import inference
-from netmix.core import MixtureParameters, sample_cohort
+from netmix.core import MixtureParameters, _component_log_liks, sample_cohort
 from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
-                              _component_log_liks, as_cohort, gibbs_sweep,
+                              as_cohort, gibbs_sweep,
                               log_joint, run_chain, update_assignments,
                               update_factors, update_omega, update_pY,
                               update_weights_and_T, update_Z)
@@ -149,7 +149,7 @@ def test_assignments_overwhelming_likelihood():
     cohort = _cohort_from_edges([a], [0], V)
     state = _state_for(params, np.ones((2, 1)), 1)
     S = state.Z + state.D
-    loglik = _component_log_liks(S, cohort)[0] + np.log(0.5)
+    loglik = _component_log_liks(S, cohort.A)[0] + np.log(0.5)
     post = np.exp(loglik - np.logaddexp(loglik[0], loglik[1]))
     assert post[0] > 1.0 - 1e-10
     for seed in range(50):

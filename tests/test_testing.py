@@ -1,7 +1,7 @@
 """Group-difference tests, classical baseline, and classification."""
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.special import expit, logit
 
 from netmix import testing
 from netmix.core import MixtureParameters, conditional_log_pmf, sample_cohort
@@ -304,6 +304,25 @@ def test_classify_relabeling_invariance():
     pa = classify(_draws_from_params([p]), cohort).probabilities
     pb = classify(_draws_from_params([swapped]), cohort).probabilities
     assert np.allclose(pa, pb, atol=1e-12)
+
+
+def test_classify_saturated_log_odds_matches_pmf():
+    # log-odds 40 and 45 both round to probability 1 in float64, yet the
+    # two components still score edge-absent networks differently
+    V, L = 4, 6
+    params = MixtureParameters(Z=np.full(L, 40.0),
+                               X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
+                               lam=np.array([[0.0], [5.0]]),
+                               nu0=np.array([0.8, 0.2]),
+                               nu1=np.array([0.3, 0.7]), pY1=0.4, T=1)
+    edges = np.ones((3, L))
+    edges[1, 0] = edges[2, :2] = 0.0
+    cohort = _cohort_from_edges(edges, [0, 1, 0], V)
+    result = classify(_draws_from_params([params]), cohort)
+    expected = [expit(conditional_log_pmf(a, params, 1)
+                      - conditional_log_pmf(a, params, 0) + logit(0.4))
+                for a in edges.astype(np.int8)]
+    assert np.allclose(result.probabilities, expected, rtol=0.0, atol=1e-12)
 
 
 def test_classify_dimension_mismatch():
