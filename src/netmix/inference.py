@@ -214,8 +214,12 @@ def _component_sums(x: np.ndarray, assignments: np.ndarray,
 def update_omega(S: np.ndarray, assignments: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw omega_il ~ PG(1, S_l of subject i's component) exactly and
-    return its per-component sums W (H, L), W_h = sum_{i: G_i = h} omega_i."""
-    return _component_sums(polya_gamma(S[assignments], rng), assignments,
+    return its per-component sums W (H, L), W_h = sum_{i: G_i = h} omega_i.
+
+    The tilts take only the H L distinct values of S, so the sampler gets S
+    and the assignments and gathers its per-tilt tables itself; the n L
+    draws are still one exact PG(1, .) variable per (subject, edge)."""
+    return _component_sums(polya_gamma(S, rng, assignments), assignments,
                            S.shape[0])
 
 
@@ -227,7 +231,8 @@ def update_Z(D: np.ndarray, W: np.ndarray, cohort: CohortData,
     variance * (sum_i (a_il - 1/2) - sum_h W_hl D_hl + z_mean/z_var).
     """
     prec = 1.0 / hyper.z_var + W.sum(axis=0)
-    resid = (cohort.A - 0.5).sum(axis=0) - (W * D).sum(axis=0)
+    # edge counts minus n/2: sums of halves, exact in float64
+    resid = cohort.A.sum(axis=0) - 0.5 * cohort.n - (W * D).sum(axis=0)
     mean = (resid + hyper.z_mean / hyper.z_var) / prec
     return mean + rng.standard_normal(hyper.L) / np.sqrt(prec)
 
@@ -245,7 +250,9 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
-    kappa = _component_sums(cohort.A - 0.5, assignments, H) - Z * W
+    n_h = np.bincount(assignments, minlength=H)
+    kappa = (_component_sums(cohort.A, assignments, H) - 0.5 * n_h[:, None]
+             - Z * W)
     Wm = np.zeros((H, V, V))
     Wm[:, emap.rows0, emap.cols0] = Wm[:, emap.cols0, emap.rows0] = W
     Km = np.zeros((H, V, V))

@@ -6,9 +6,20 @@ proposal mixes a truncated exponential (right tail, x > t) with a
 truncated inverse Gaussian (left piece, x <= t) at the classic crossover
 t = 0.64, and the accept/reject decision uses the partial sums of the
 alternating series for the J* density, so acceptance is exact, not
-approximate. All stages are vectorized over the input array with
-per-element bookkeeping; results are reproducible given a seeded
-Generator and fixed input order.
+approximate.
+
+The tilt-only quantities (z, the exponential rate fz and the branch
+probability, which costs two log_ndtr calls) are tabled once per distinct
+tilt: the caller may pass a table c of distinct tilts plus the rows to
+draw from, as the Gibbs sampler does with its (H, L) similarities and the
+subjects' assignments. The rejection loop then walks the output in fixed
+blocks of whole rows, about _BLOCK_ENTRIES entries each, gathering the
+block's tables, with per-entry bookkeeping inside the block. At that size
+the loop's float64 temporaries (~256 KiB) stay in cache and are recycled
+from malloc's heap; output-sized temporaries of a few MiB are handed back
+to the OS and faulted in again on every call. Each block consumes its own
+uniforms in turn, so results are reproducible given a seeded Generator,
+the input order and the block size.
 """
 from __future__ import annotations
 
@@ -20,6 +31,9 @@ __all__ = ["polya_gamma", "polya_gamma_draw"]
 _T = 0.64
 _MAX_SERIES_TERMS = 10_000
 _MAX_REJECTION_ROUNDS = 10_000
+# entries per block of the rejection loop, rounded down to whole rows: a
+# block's float64 temporaries (~256 KiB) stay in L2 and in malloc's heap
+_BLOCK_ENTRIES = 2**15
 
 
 def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
@@ -86,16 +100,9 @@ def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def polya_gamma(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Array of independent PG(1, c_i) draws, one per entry of c."""
-    c = np.asarray(c, dtype=np.float64)
-    if not np.isfinite(c).all():
-        raise ValueError("tilt values must be finite")
-    shape = c.shape
-    z = 0.5 * np.abs(c).ravel()
-    fz = 0.125 * np.pi ** 2 + 0.5 * z * z
-    p_exp = _exp_branch_prob(z, fz)
-
+def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """Exact J*(1, z) draws for one block, given its tilt tables."""
     draws = np.empty_like(z)
     pending = np.arange(z.size)
     rounds = 0
@@ -138,8 +145,42 @@ def polya_gamma(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("rejection sampler stalled")
+    return draws
 
-    return (0.25 * draws).reshape(shape)
+
+def polya_gamma(c: np.ndarray, rng: np.random.Generator,
+                rows: np.ndarray | None = None) -> np.ndarray:
+    """Independent PG(1, t) draws, one per entry t of c, or of c[rows]
+    when rows is given.
+
+    With rows, c holds the distinct tilts (say S, one row per component)
+    and the integer array rows indexes its first axis (say the
+    assignments); the result has the shape of c[rows] and equals
+    polya_gamma(c[rows], rng) bit for bit under the same seed, without the
+    tilt-only work per gathered entry.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise ValueError("tilt values must be finite")
+    width = int(np.prod(c.shape[1:]))
+    z = 0.5 * np.abs(c).reshape(c.shape[0] if c.ndim else 1, width)
+    fz = 0.125 * np.pi ** 2 + 0.5 * z * z
+    p_exp = _exp_branch_prob(z, fz)
+    if rows is None:
+        shape, rows = c.shape, np.arange(z.shape[0])
+    else:
+        rows = np.asarray(rows)
+        shape, rows = rows.shape + c.shape[1:], rows.ravel()
+
+    out = np.empty((rows.size, width))
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
+        out[start:start + step] = _draw_block(
+            z[block].ravel(), fz[block].ravel(), p_exp[block].ravel(),
+            rng).reshape(block.size, width)
+    out *= 0.25
+    return out.reshape(shape)
 
 
 def polya_gamma_draw(c: float, rng: np.random.Generator) -> float:

@@ -172,25 +172,30 @@ def _edge_log_odds_blocks(draws: PosteriorDraws):
         yield sl, S
 
 
-def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Posterior probability, per edge, that the association exceeds epsilon."""
+def _edge_functionals(draws: PosteriorDraws,
+                      epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(local_test, edge_difference) of the draws from one pass over the
+    blocks, which both read through the group edge probabilities."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     exceed = np.zeros(draws.Z.shape[1])
+    diff = np.zeros(draws.Z.shape[1])
     for sl, S in _edge_log_odds_blocks(draws):
         p = draws.nu[sl] @ logistic_map(S)
         rho = cramers_v_from_probs(p[:, 0], p[:, 1], draws.pY1[sl][:, None])
         exceed += (rho > epsilon).sum(axis=0)
-    return exceed / draws.n_draws
+        diff += (p[:, 1] - p[:, 0]).sum(axis=0)
+    return exceed / draws.n_draws, diff / draws.n_draws
+
+
+def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Posterior probability, per edge, that the association exceeds epsilon."""
+    return _edge_functionals(draws, epsilon)[0]
 
 
 def edge_difference(draws: PosteriorDraws) -> np.ndarray:
     """Posterior mean of group-1 minus group-0 edge probabilities."""
-    diff = np.zeros(draws.Z.shape[1])
-    for sl, S in _edge_log_odds_blocks(draws):
-        p = draws.nu[sl] @ logistic_map(S)
-        diff += (p[:, 1] - p[:, 0]).sum(axis=0)
-    return diff / draws.n_draws
+    return _edge_functionals(draws, DEFAULT_EPSILON)[1]
 
 
 def compute_test_report(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON,
@@ -205,8 +210,7 @@ def compute_test_report(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON,
         raise ValueError(f"cutoff must lie in (0, 1), got {cutoff!r}")
     single = bool(draws.meta.get("single_group"))
     pr = None if single else global_test(draws)
-    exceed = local_test(draws, epsilon)
-    diff = edge_difference(draws)
+    exceed, diff = _edge_functionals(draws, epsilon)
     return TestReport(pr_H1=pr, rho_exceed=exceed, epsilon=epsilon,
                       edge_diff=diff, significant_edges=exceed > cutoff,
                       decision_cutoff=cutoff)

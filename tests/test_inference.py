@@ -199,7 +199,8 @@ def test_omega_sums_are_per_component_sums_of_the_draws(monkeypatch):
     drawn = []
     pg = inference.polya_gamma
     monkeypatch.setattr(inference, "polya_gamma",
-                        lambda c, rng: drawn.append(pg(c, rng)) or drawn[-1])
+                        lambda c, rng, rows: drawn.append(pg(c, rng, rows))
+                        or drawn[-1])
     W = update_omega(state.Z + state.D, G, np.random.default_rng(8))
     omega, = drawn
     assert omega.shape == (6, 6)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from netmix import pg
 from netmix.pg import polya_gamma, polya_gamma_draw
 
 _ORACLE_TERMS = 10_000
@@ -87,3 +88,54 @@ def test_scalar_wrapper_and_validation():
         polya_gamma(np.array([np.nan]), np.random.default_rng(0))
     with pytest.raises(ValueError):
         polya_gamma(np.array([np.inf]), np.random.default_rng(0))
+
+
+# ------------------------------------------------- distinct tilts, blocks
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # 64 entries: rows of 20 entries go three to a block
+    monkeypatch.setattr(pg, "_BLOCK_ENTRIES", 64)
+
+
+def test_rows_draw_has_gathered_shape(small_blocks):
+    rng = np.random.default_rng(2)
+    S = rng.normal(0, 3, (3, 4, 5))
+    rows = np.array([2, 0, 0, 1, 2, 2, 1, 0, 1, 2, 0])  # blocks 3, 3, 3, 2
+    draws = polya_gamma(S, rng, rows)
+    assert draws.shape == S[rows].shape == (11, 4, 5)
+    assert (draws > 0).all()
+
+
+def test_rows_draw_matches_moment_formula_per_tilt(monkeypatch):
+    # 20,000 rows of width 3 in blocks of 1,365 rows: 15 blocks, the last
+    # one partial
+    monkeypatch.setattr(pg, "_BLOCK_ENTRIES", 2**12)
+    S = np.array([[0.0, 0.5, 1.0], [2.0, 10.0, 40.0], [-1.0, -2.0, 0.0]])
+    rng = np.random.default_rng(23)
+    rows = rng.integers(0, 3, 20_000)
+    draws = polya_gamma(S, rng, rows)
+    for h in range(3):
+        for l in range(3):
+            d = draws[rows == h, l]
+            se = d.std() / np.sqrt(d.size)
+            assert abs(d.mean() - pg_mean(S[h, l])) < 4 * se + 1e-6
+
+
+def test_rows_draw_deterministic_and_equal_to_gathered_tilts(small_blocks):
+    S = np.random.default_rng(4).normal(0, 3, (3, 20))
+    rows = np.array([1, 0, 2, 2, 1, 0, 0, 2, 1, 1])  # blocks 3, 3, 3, 1
+    a = polya_gamma(S, np.random.default_rng(5), rows)
+    b = polya_gamma(S, np.random.default_rng(5), rows)
+    gathered = polya_gamma(S[rows], np.random.default_rng(5))
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, gathered)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rows_draw_rejects_non_finite_tilt_anywhere(small_blocks, bad):
+    S = np.zeros((3, 20))
+    S[2, 7] = bad  # component 2 is not drawn from
+    with pytest.raises(ValueError):
+        polya_gamma(S, np.random.default_rng(0), np.array([0, 1, 1, 0]))
