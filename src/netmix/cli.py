@@ -63,8 +63,8 @@ def _params_to_json(params: MixtureParameters) -> dict:
         "Z": params.Z.tolist(),
         "components": [{"X": X.tolist(), "lam": lam.tolist()}
                        for X, lam in zip(params.X, params.lam)],
-        "nu0": params.nu0.tolist(),
-        "nu1": params.nu1.tolist(),
+        "nu0": params.nu[0].tolist(),
+        "nu1": params.nu[1].tolist(),
         "pY1": params.pY1,
         "T": params.T,
     }
@@ -79,23 +79,26 @@ def _cmd_simulate(args) -> int:
     scenario = cfg["scenario"]
     V, n0, n1 = cfg["v"], cfg["n0"], cfg["n1"]
     extra = {}
-    if scenario == "prior":
-        hyper = _build_hyper(cfg, V)
-        params, _ = sample_prior(hyper, np.random.default_rng(seed))
-        truth_summary = {}
-    else:
-        builder, keys = _SCENARIO_BUILDERS[scenario]
-        extra = {k: cfg[k] for k in keys if k in cfg}
-        truth = builder(V, seed=seed, **extra)
-        params = truth.params
-        truth_summary = {
-            "rho": truth.rho.tolist(),
-            "different_edges": [int(l) + 1 for l in truth.different_edges],
-            "pi0": truth.pi0.tolist(),
-            "pi1": truth.pi1.tolist(),
-        }
-    observations = sample_cohort(params, n0, n1,
-                                 np.random.default_rng([seed, 1]))
+    try:
+        if scenario == "prior":
+            hyper = _build_hyper(cfg, V)
+            params, _ = sample_prior(hyper, np.random.default_rng(seed))
+            truth_summary = {}
+        else:
+            builder, keys = _SCENARIO_BUILDERS[scenario]
+            extra = {k: cfg[k] for k in keys if k in cfg}
+            truth = builder(V, seed=seed, **extra)
+            params = truth.params
+            truth_summary = {
+                "rho": truth.rho.tolist(),
+                "different_edges": [int(l) + 1 for l in truth.different_edges],
+                "pi0": truth.pi0.tolist(),
+                "pi1": truth.pi1.tolist(),
+            }
+        observations = sample_cohort(params, n0, n1,
+                                     np.random.default_rng([seed, 1]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out_dir)
     manifest_path = dataio.write_dataset(out, observations)
     payload = {"scenario": scenario, "seed": seed, "n0": n0, "n1": n1,

@@ -11,7 +11,7 @@ deviation. Edge probabilities are ``pi(h) = logistic(S(h))`` and a network
 in group ``y`` is generated by picking component ``h`` with probability
 ``nu_hy`` and drawing independent Bernoulli edges. ``MixtureParameters``
 holds the factors of all components stacked: ``X`` is (H, V, R) and
-``lam`` is (H, R).
+``lam`` is (H, R); the mixing weights ``nu`` are (2, H), row y for group y.
 
 Everything here is pure: randomness enters only through an explicit
 ``numpy.random.Generator``.
@@ -179,29 +179,37 @@ def _deviations(XW: np.ndarray, X: np.ndarray) -> np.ndarray:
 _SIMPLEX_TOL = 1e-10
 
 
-def _check_simplex(w: np.ndarray, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise ValueError(f"{name} entries must be finite and nonnegative")
-    if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
-        raise ValueError(f"{name} must sum to 1 within {_SIMPLEX_TOL}, got {w.sum()!r}")
-    return w
+def _check_simplex(nu: np.ndarray, H: int) -> np.ndarray:
+    """nu as a float (2, H) array whose rows are probability vectors."""
+    nu = np.asarray(nu, dtype=np.float64)
+    if nu.shape != (2, H):
+        raise ValueError(f"nu must be (2, H)={2, H}, got {nu.shape}")
+    if (nu < 0).any() or not np.isfinite(nu).all():
+        raise ValueError("nu entries must be finite and nonnegative")
+    sums = nu.sum(axis=1)
+    if (np.abs(sums - 1.0) > _SIMPLEX_TOL).any():
+        raise ValueError(f"nu rows must sum to 1 within {_SIMPLEX_TOL}, "
+                         f"got {sums.tolist()!r}")
+    return nu
+
+
+def _check_label(y: int) -> int:
+    if y not in (0, 1):
+        raise ValueError(f"group label must be 0 or 1, got {y!r}")
+    return int(y)
 
 
 @dataclass(frozen=True)
 class MixtureParameters:
     """Full generative state: shared log-odds Z (L,), node factors X
     (H, V, R) and nonnegative column weights lam (H, R) of every component,
-    group-specific mixing weights, group prevalence, and the dependence
-    indicator T (T=0 forces nu0 == nu1 entrywise)."""
+    mixing weights nu (2, H) with row y for group y, group prevalence, and
+    the dependence indicator T (T=0 forces nu[0] == nu[1] entrywise)."""
 
     Z: np.ndarray
     X: np.ndarray
     lam: np.ndarray
-    nu0: np.ndarray
-    nu1: np.ndarray
+    nu: np.ndarray
     pY1: float
     T: int
 
@@ -221,21 +229,17 @@ class MixtureParameters:
             raise ValueError("factors must be finite")
         if (lam < 0).any():
             raise ValueError("lam entries must be nonnegative")
-        nu0 = _check_simplex(self.nu0, "nu0")
-        nu1 = _check_simplex(self.nu1, "nu1")
-        if nu0.shape[0] != H or nu1.shape[0] != H:
-            raise ValueError(f"mixing weights must have length H={H}")
+        nu = _check_simplex(self.nu, H)
         if self.T not in (0, 1):
             raise ValueError(f"T must be 0 or 1, got {self.T!r}")
-        if self.T == 0 and not np.array_equal(nu0, nu1):
-            raise ValueError("T=0 requires nu0 == nu1 entrywise")
+        if self.T == 0 and not np.array_equal(nu[0], nu[1]):
+            raise ValueError("T=0 requires nu[0] == nu[1] entrywise")
         if not (0.0 < self.pY1 < 1.0):
             raise ValueError(f"pY1 must lie strictly in (0, 1), got {self.pY1!r}")
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "nu0", nu0)
-        object.__setattr__(self, "nu1", nu1)
+        object.__setattr__(self, "nu", nu)
 
     @property
     def V(self) -> int:
@@ -253,11 +257,6 @@ class MixtureParameters:
     def R(self) -> int:
         return self.X.shape[2]
 
-    def nu(self, y: int) -> np.ndarray:
-        if y not in (0, 1):
-            raise ValueError(f"group label must be 0 or 1, got {y!r}")
-        return self.nu1 if y == 1 else self.nu0
-
     def similarities(self) -> np.ndarray:
         """(H, L) matrix of per-component edge log-odds S(h) = Z + D(h)."""
         return self.Z + _deviations(self.X * self.lam[:, None, :], self.X)
@@ -268,7 +267,7 @@ class MixtureParameters:
 
     def group_edge_probability(self, y: int) -> np.ndarray:
         """Marginal edge probabilities within group y: sum_h nu_hy pi(h)."""
-        return self.nu(y) @ self.edge_probabilities()
+        return self.nu[_check_label(y)] @ self.edge_probabilities()
 
 
 def logistic_map(S: np.ndarray) -> np.ndarray:
@@ -345,12 +344,12 @@ def _mixture_log_pmf(a: np.ndarray, params: MixtureParameters,
 
 def conditional_log_pmf(a: np.ndarray, params: MixtureParameters, y: int) -> float:
     """log p(a | y) = log sum_h nu_hy prod_l Bern(a_l; pi(h)_l)."""
-    return _mixture_log_pmf(a, params, params.nu(y))
+    return _mixture_log_pmf(a, params, params.nu[_check_label(y)])
 
 
 def marginal_log_pmf(a: np.ndarray, params: MixtureParameters) -> float:
     """log p(a) with component weights averaged over the group prevalence."""
-    w = (1.0 - params.pY1) * params.nu0 + params.pY1 * params.nu1
+    w = (1.0 - params.pY1) * params.nu[0] + params.pY1 * params.nu[1]
     return _mixture_log_pmf(a, params, w)
 
 
@@ -376,7 +375,7 @@ def sample_network(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_group(params: MixtureParameters, y: int, n: int, start: int,
                 rng: np.random.Generator, pi_all: np.ndarray):
-    G = _categorical(params.nu(y), rng.random(n))
+    G = _categorical(params.nu[y], rng.random(n))
     obs = []
     for k in range(n):
         edges = sample_network(pi_all[G[k]], rng)
@@ -407,11 +406,10 @@ def sample_joint_cohort(params: MixtureParameters, n: int,
         raise ValueError(f"need n > 0, got {n}")
     y = (rng.random(n) < params.pY1).astype(np.int64)
     pi_all = params.edge_probabilities()
-    nu_by_y = np.stack([params.nu0, params.nu1])
     G = np.empty(n, dtype=np.int64)
     obs = []
     for i in range(n):
-        G[i] = _categorical(nu_by_y[y[i]], rng.random(1))[0]
+        G[i] = _categorical(params.nu[y[i]], rng.random(1))[0]
         edges = sample_network(pi_all[G[i]], rng)
         obs.append(NetworkObservation(edges=edges, label=int(y[i]),
                                       subject_id=f"s{i:04d}"))

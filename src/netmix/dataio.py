@@ -316,6 +316,9 @@ def parse_config(path) -> dict:
                 out[key] = int(value)
             elif key in _FLOAT_KEYS:
                 out[key] = float(value)
+                if not math.isfinite(out[key]):
+                    raise ConfigError(f"{path}: value for key {key!r} must be "
+                                      f"finite, got {value!r}")
             else:
                 out[key] = value
         except ValueError:

@@ -171,7 +171,7 @@ class AugmentedState:
         """State of a parameter object; theta is taken as given."""
         Xbar = params.X * np.sqrt(params.lam)[:, None, :]
         return cls(params.Z.copy(), Xbar, np.array(theta, dtype=np.float64),
-                   np.stack([params.nu0, params.nu1]), params.pY1, params.T,
+                   params.nu, params.pY1, params.T,
                    np.asarray(assignments, dtype=np.int64),
                    _deviations(Xbar, Xbar))
 
@@ -185,8 +185,7 @@ class AugmentedState:
 
     def to_params(self) -> MixtureParameters:
         """The validated parameter object of this state."""
-        return MixtureParameters(Z=self.Z, X=self.X, lam=self.lam,
-                                 nu0=self.nu[0], nu1=self.nu[1],
+        return MixtureParameters(Z=self.Z, X=self.X, lam=self.lam, nu=self.nu,
                                  pY1=self.pY1, T=self.T)
 
 
@@ -296,13 +295,12 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
 
 def update_weights_and_T(assignments: np.ndarray, cohort: CohortData,
                          hyper: HyperParameters,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
-    """Joint draw of (T, nu0, nu1) given assignments, with nu collapsed out
-    of the T step (Dirichlet-multinomial marginals)."""
-    counts0, counts1 = (np.bincount(assignments[cohort.y == y],
-                                    minlength=hyper.H).astype(float)
-                        for y in (0, 1))
-    return _draw_weights_and_T(counts0, counts1, hyper, rng)
+                         rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Joint draw of (nu, T) given assignments, with nu collapsed out of the
+    T step (Dirichlet-multinomial marginals); nu is (2, H)."""
+    H = hyper.H
+    counts = np.bincount(cohort.y * H + assignments, minlength=2 * H)
+    return _draw_weights_and_T(counts.reshape(2, H).astype(float), hyper, rng)
 
 
 def update_pY(cohort: CohortData, hyper: HyperParameters,
@@ -320,9 +318,9 @@ def gibbs_sweep(state: AugmentedState, cohort: CohortData, hyper: HyperParameter
     Z = update_Z(state.D, W, cohort, hyper, rng)
     Xbar, theta = update_factors(state.Xbar, state.theta, Z, W, G, cohort,
                                  hyper, rng)
-    nu0, nu1, T = update_weights_and_T(G, cohort, hyper, rng)
+    nu, T = update_weights_and_T(G, cohort, hyper, rng)
     pY1 = update_pY(cohort, hyper, rng)
-    return AugmentedState(Z=Z, Xbar=Xbar, theta=theta, nu=np.stack([nu0, nu1]),
+    return AugmentedState(Z=Z, Xbar=Xbar, theta=theta, nu=nu,
                           pY1=pY1, T=T, assignments=G,
                           D=_deviations(Xbar, Xbar))
 
@@ -371,8 +369,8 @@ class PosteriorDraws:
     def params_at(self, k: int) -> MixtureParameters:
         """Rebuild the validated parameter object for draw k."""
         return MixtureParameters(Z=self.Z[k], X=self.X[k], lam=self.lam[k],
-                                 nu0=self.nu[k, 0], nu1=self.nu[k, 1],
-                                 pY1=float(self.pY1[k]), T=int(self.T[k]))
+                                 nu=self.nu[k], pY1=float(self.pY1[k]),
+                                 T=int(self.T[k]))
 
 
 def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorDraws:
@@ -388,8 +386,7 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
                          f"hyperparameters say V={hyper.V}")
     rng = np.random.default_rng(config.seed)
     params, theta = sample_prior(hyper, rng)
-    G = _categorical(np.stack([params.nu0, params.nu1])[cohort.y],
-                     rng.random(cohort.n))
+    G = _categorical(params.nu[cohort.y], rng.random(cohort.n))
     state = AugmentedState.from_params(params, theta, G)
 
     K = config.n_draws

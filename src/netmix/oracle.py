@@ -91,11 +91,13 @@ def enumerate_pmf(params: MixtureParameters, y: int | None = None) -> ExactPmfTa
         raise ValueError(f"enumeration limited to V <= {_MAX_V}, got V={params.V}")
     L = params.L
     if y is None:
-        weights = [(1.0 - params.pY1) * float(params.nu0[h])
-                   + params.pY1 * float(params.nu1[h])
+        weights = [(1.0 - params.pY1) * float(params.nu[0, h])
+                   + params.pY1 * float(params.nu[1, h])
                    for h in range(params.H)]
+    elif y in (0, 1):
+        weights = [float(w) for w in params.nu[int(y)]]
     else:
-        weights = [float(w) for w in params.nu(y)]
+        raise ValueError(f"group label must be 0 or 1, got {y!r}")
     comp_pi = [_component_edge_probs(params, h) for h in range(params.H)]
 
     probs = np.empty(2 ** L, dtype=np.float64)

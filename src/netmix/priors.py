@@ -50,13 +50,13 @@ class HyperParameters:
         edge_count(self.V)  # validates V >= 2
         if self.H < 1 or self.R < 1:
             raise ValueError(f"need H >= 1 and R >= 1, got H={self.H}, R={self.R}")
-        for name in ("a0", "a1", "z_var", "mig_a1", "mig_a2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.dirichlet_conc is None:
             object.__setattr__(self, "dirichlet_conc", 1.0 / self.H)
-        if self.dirichlet_conc <= 0:
-            raise ValueError("dirichlet_conc must be positive")
+        for name in ("a0", "a1", "z_var", "mig_a1", "mig_a2", "dirichlet_conc"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if not (0.0 <= self.prior_T1 <= 1.0):
             raise ValueError("prior_T1 must lie in [0, 1]")
         if not np.isfinite(self.z_mean):
@@ -88,10 +88,8 @@ def sample_prior(hyper: HyperParameters,
     theta = rng.gamma(shape=shapes, scale=1.0, size=(hyper.H, hyper.R))
     lam = np.cumprod(1.0 / theta, axis=1)
     X = rng.standard_normal((hyper.H, hyper.V, hyper.R))
-    nu0, nu1, T = _draw_weights_and_T(np.zeros(hyper.H), np.zeros(hyper.H),
-                                      hyper, rng)
-    params = MixtureParameters(Z=Z, X=X, lam=lam, nu0=nu0, nu1=nu1,
-                               pY1=pY1, T=T)
+    nu, T = _draw_weights_and_T(np.zeros((2, hyper.H)), hyper, rng)
+    params = MixtureParameters(Z=Z, X=X, lam=lam, nu=nu, pY1=pY1, T=T)
     return params, theta
 
 
@@ -102,29 +100,27 @@ def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
                  + np.sum(gammaln(conc + counts) - gammaln(conc)))
 
 
-def _draw_weights_and_T(counts0: np.ndarray, counts1: np.ndarray,
-                        hyper: HyperParameters, rng: np.random.Generator
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Joint draw of (nu0, nu1, T) given per-group component counts, nu
-    collapsed out of the T step (Dirichlet-multinomial marginals). Zero
-    counts draw from the prior: the marginals vanish, Pr(T=1) = prior_T1."""
+def _draw_weights_and_T(counts: np.ndarray, hyper: HyperParameters,
+                        rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Joint draw of (nu, T) given component counts (2, H), row y for group
+    y, with nu collapsed out of the T step (Dirichlet-multinomial
+    marginals). Zero counts draw from the prior: the marginals vanish,
+    Pr(T=1) = prior_T1."""
     conc = hyper.dirichlet_conc
     with np.errstate(divide="ignore"):
         prior_t1 = float(np.log(hyper.prior_T1))
         prior_t0 = float(np.log1p(-hyper.prior_T1))
     log_t1 = (prior_t1
-              + _log_dirichlet_multinomial(counts0, conc)
-              + _log_dirichlet_multinomial(counts1, conc))
-    log_t0 = prior_t0 + _log_dirichlet_multinomial(counts0 + counts1, conc)
+              + _log_dirichlet_multinomial(counts[0], conc)
+              + _log_dirichlet_multinomial(counts[1], conc))
+    log_t0 = prior_t0 + _log_dirichlet_multinomial(counts[0] + counts[1], conc)
     T = int(rng.random() < expit(log_t1 - log_t0))
     alpha = np.full(hyper.H, conc)
     if T == 1:
-        nu0 = rng.dirichlet(alpha + counts0)
-        nu1 = rng.dirichlet(alpha + counts1)
+        nu = np.array([rng.dirichlet(alpha + c) for c in counts])
     else:
-        nu0 = rng.dirichlet(alpha + counts0 + counts1)
-        nu1 = nu0.copy()
-    return nu0, nu1, T
+        nu = np.tile(rng.dirichlet(alpha + counts[0] + counts[1]), (2, 1))
+    return nu, T
 
 
 def _dirichlet_log_pdf(w: np.ndarray, alpha: np.ndarray) -> float:
@@ -135,26 +131,25 @@ def _dirichlet_log_pdf(w: np.ndarray, alpha: np.ndarray) -> float:
                  + ((alpha - 1.0) * np.log(w)).sum())
 
 
-def mixing_weights_log_prior(nu0: np.ndarray, nu1: np.ndarray, T: int,
+def mixing_weights_log_prior(nu: np.ndarray, T: int,
                              hyper: HyperParameters) -> float:
-    """Log prior of (nu0, nu1, T) including the Bernoulli(prior_T1) mass.
-
-    A T=0 state with nu0 != nu1 is outside the support and scores -inf.
+    """Log prior of (nu, T), nu (2, H), including the Bernoulli(prior_T1)
+    mass. A T=0 state with nu[0] != nu[1] is outside the support and scores
+    -inf.
     """
-    nu0 = np.asarray(nu0, dtype=np.float64)
-    nu1 = np.asarray(nu1, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
     alpha = np.full(hyper.H, hyper.dirichlet_conc)
     with np.errstate(divide="ignore"):
         log_t1 = float(np.log(hyper.prior_T1))
         log_t0 = float(np.log1p(-hyper.prior_T1))
     if T == 1:
         return (log_t1
-                + _dirichlet_log_pdf(nu0, alpha)
-                + _dirichlet_log_pdf(nu1, alpha))
+                + _dirichlet_log_pdf(nu[0], alpha)
+                + _dirichlet_log_pdf(nu[1], alpha))
     if T == 0:
-        if not np.array_equal(nu0, nu1):
+        if not np.array_equal(nu[0], nu[1]):
             return float("-inf")
-        return log_t0 + _dirichlet_log_pdf(nu0, alpha)
+        return log_t0 + _dirichlet_log_pdf(nu[0], alpha)
     raise ValueError(f"T must be 0 or 1, got {T!r}")
 
 
@@ -177,8 +172,7 @@ def log_prior_density(params: MixtureParameters, theta: np.ndarray,
     if not np.allclose(params.lam, lam, rtol=1e-8, atol=1e-12):
         raise ValueError("lambda inconsistent with cumprod(1/theta)")
 
-    return log_prior_from_arrays(params.Z, params.X, theta,
-                                 np.stack([params.nu0, params.nu1]),
+    return log_prior_from_arrays(params.Z, params.X, theta, params.nu,
                                  params.pY1, params.T, hyper)
 
 
@@ -204,5 +198,5 @@ def log_prior_from_arrays(Z: np.ndarray, X: np.ndarray, theta: np.ndarray,
     lp += float(np.sum((shapes - 1.0) * np.log(theta) - theta
                        - gammaln(shapes)))
     # mixing weights and dependence indicator
-    lp += mixing_weights_log_prior(nu[0], nu[1], T, hyper)
+    lp += mixing_weights_log_prior(nu, T, hyper)
     return lp

@@ -69,9 +69,7 @@ def shifted_mixture_truth(V: int, shift: float = 1.1, seed: int = 0) -> Syntheti
     base = rng.uniform(-0.3, 0.3, edge_count(V))
     Z, X, lam = _constant_shift_factors(V, base, shift)
     params = MixtureParameters(Z=Z, X=X, lam=lam,
-                               nu0=np.array([1.0, 0.0]),
-                               nu1=np.array([0.0, 1.0]),
-                               pY1=0.5, T=1)
+                               nu=np.eye(2), pY1=0.5, T=1)
     return _finish(params, np.arange(edge_count(V)))
 
 
@@ -81,8 +79,7 @@ def null_mixture_truth(V: int, shift: float = 0.8, seed: int = 0) -> SyntheticTr
     rng = np.random.default_rng(seed)
     base = rng.uniform(-0.3, 0.3, edge_count(V))
     Z, X, lam = _constant_shift_factors(V, base, shift)
-    nu = np.array([0.5, 0.5])
-    params = MixtureParameters(Z=Z, X=X, lam=lam, nu0=nu, nu1=nu.copy(),
+    params = MixtureParameters(Z=Z, X=X, lam=lam, nu=np.full((2, 2), 0.5),
                                pY1=0.5, T=0)
     return _finish(params, np.array([], dtype=np.int64))
 
@@ -108,9 +105,7 @@ def clique_difference_truth(V: int, clique_size: int = 5,
     X = np.zeros((2, V, 1))
     X[1, :clique_size, 0] = 1.0
     params = MixtureParameters(Z=Z, X=X, lam=np.array([[0.0], [gap]]),
-                               nu0=np.array([1.0, 0.0]),
-                               nu1=np.array([0.0, 1.0]),
-                               pY1=0.5, T=1)
+                               nu=np.eye(2), pY1=0.5, T=1)
     return _finish(params, np.flatnonzero(in_clique))
 
 
@@ -122,9 +117,7 @@ def separable_truth(V: int, shift: float = 0.9, seed: int = 0) -> SyntheticTruth
     base = rng.uniform(-0.5, 0.5, edge_count(V))
     Z, X, lam = _constant_shift_factors(V, base, shift)
     params = MixtureParameters(Z=Z, X=X, lam=lam,
-                               nu0=np.array([1.0, 0.0]),
-                               nu1=np.array([0.0, 1.0]),
-                               pY1=0.5, T=1)
+                               nu=np.eye(2), pY1=0.5, T=1)
     return _finish(params, np.arange(edge_count(V)))
 
 
@@ -142,8 +135,8 @@ def rank_one_truth(V: int, weight: float = 1.2, share: float = 0.75,
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.9, 1.5, size=(V, 1)) * rng.choice([-1.0, 1.0], size=(V, 1))
     Z = rng.uniform(-0.5, 0.5, edge_count(V))
-    nu = np.array([share, 1.0 - share])
     params = MixtureParameters(Z=Z, X=np.stack([x, np.zeros((V, 1))]),
                                lam=np.array([[weight], [0.0]]),
-                               nu0=nu, nu1=nu.copy(), pY1=0.5, T=0)
+                               nu=np.tile([share, 1.0 - share], (2, 1)),
+                               pY1=0.5, T=0)
     return _finish(params, np.array([], dtype=np.int64))

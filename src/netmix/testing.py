@@ -148,8 +148,8 @@ def cramers_v_from_probs(p0: np.ndarray, p1: np.ndarray, pY1) -> np.ndarray:
 def cramers_v(params: MixtureParameters) -> np.ndarray:
     """Per-edge association implied by one parameter state."""
     pi = params.edge_probabilities()
-    p0 = params.nu0 @ pi
-    p1 = params.nu1 @ pi
+    p0 = params.nu[0] @ pi
+    p1 = params.nu[1] @ pi
     return cramers_v_from_probs(p0, p1, params.pY1)
 
 

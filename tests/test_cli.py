@@ -119,6 +119,28 @@ def test_simulate_requires_scenario_keys(tmp_path, capsys):
     assert err.startswith("error:") and "n0" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("scenario = clique\nv = 6\nn0 = 3\nn1 = 3\nclique_size = 9\n",
+     "clique_size must lie in 2..V"),
+    ("scenario = shifted\nv = 4\nn0 = -2\nn1 = 3\n", "need n0, n1 >= 0"),
+    ("scenario = shifted\nv = 4\nn0 = 0\nn1 = 0\n", "need n0, n1 >= 0"),
+    ("scenario = shifted\nv = 1\nn0 = 2\nn1 = 3\n", "need at least 2 nodes"),
+    ("scenario = rank1\nv = 4\nn0 = 2\nn1 = 3\nshare = 1.5\n",
+     "nonnegative"),
+    ("scenario = prior\nv = 4\nn0 = 2\nn1 = 3\nz_var = inf\n",
+     "'z_var' must be finite"),
+], ids=["clique_size", "negative_n0", "no_subjects", "one_node", "share",
+        "z_var_inf"])
+def test_simulate_bad_scenario_options(tmp_path, capsys, text, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -171,6 +193,15 @@ def test_fit_bad_config(workspace, tmp_path, capsys):
                     "--config", str(mismatch),
                     "--out-dir", str(tmp_path / "out")]) == 1
     assert "config says v=5 but the data has V=6" in capsys.readouterr().err
+    inf = tmp_path / "inf.cfg"
+    inf.write_text("h = 2\nr = 1\nmig_a2 = inf\n"
+                   "n_iter = 22\nburn_in = 20\nthin = 1\n")
+    assert run_cli(["fit", "--manifest", str(workspace["manifest"]),
+                    "--config", str(inf),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'mig_a2' must be finite" in err
+    assert len(err.splitlines()) == 1
 
 
 # --------------------------------------------------------------- test

@@ -111,7 +111,7 @@ def _component_similarity(Z, X, lam):
     """S = Z + D of one component (V, R) via a single-component
     MixtureParameters."""
     params = MixtureParameters(Z=Z, X=X[None], lam=lam[None],
-                               nu0=np.ones(1), nu1=np.ones(1), pY1=0.5, T=0)
+                               nu=np.ones((2, 1)), pY1=0.5, T=0)
     return params.similarities()[0]
 
 
@@ -185,8 +185,8 @@ def _two_component_params(V=4, seed=0):
     nu1 = rng.dirichlet(np.ones(2))
     return MixtureParameters(Z=rng.standard_normal(L), X=np.stack(X),
                              lam=np.stack(lam),
-                             nu0=nu0, nu1=nu1, pY1=float(rng.uniform(0.2, 0.8)),
-                             T=1)
+                             nu=np.array([nu0, nu1]),
+                             pY1=float(rng.uniform(0.2, 0.8)), T=1)
 
 
 def _all_configs(L):
@@ -249,7 +249,7 @@ def test_conditional_pmf_component_permutation_invariant(seed):
     params = _two_component_params(V=4, seed=seed)
     swapped = MixtureParameters(Z=params.Z, X=params.X[::-1],
                                 lam=params.lam[::-1],
-                                nu0=params.nu0[::-1], nu1=params.nu1[::-1],
+                                nu=params.nu[:, ::-1],
                                 pY1=params.pY1, T=params.T)
     a = (np.random.default_rng(seed).random(6) < 0.5).astype(np.int8)
     for y in (0, 1):
@@ -300,8 +300,8 @@ def test_sample_cohort_group_separation():
     params = MixtureParameters(Z=base,
                                X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
                                lam=np.array([[0.0], [2.8]]),
-                               nu0=np.array([1.0, 0.0]),
-                               nu1=np.array([0.0, 1.0]), pY1=0.5, T=1)
+                               nu=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                               pY1=0.5, T=1)
     obs = sample_cohort(params, 200, 200, np.random.default_rng(9))
     dens0 = np.mean([o.edges.mean() for o in obs if o.label == 0])
     dens1 = np.mean([o.edges.mean() for o in obs if o.label == 1])
@@ -333,15 +333,15 @@ def test_mixture_parameters_validation():
     good = _two_component_params()
     with pytest.raises(ValueError, match="sum to 1"):
         MixtureParameters(Z=good.Z, X=good.X, lam=good.lam,
-                          nu0=np.array([0.5, 0.6]), nu1=good.nu1,
+                          nu=np.array([[0.5, 0.6], good.nu[1]]),
                           pY1=0.5, T=1)
-    with pytest.raises(ValueError, match="nu0 == nu1"):
+    with pytest.raises(ValueError, match=r"nu\[0\] == nu\[1\]"):
         MixtureParameters(Z=good.Z, X=good.X, lam=good.lam,
-                          nu0=np.array([0.4, 0.6]), nu1=np.array([0.6, 0.4]),
+                          nu=np.array([[0.4, 0.6], [0.6, 0.4]]),
                           pY1=0.5, T=0)
     with pytest.raises(ValueError, match="pY1"):
         MixtureParameters(Z=good.Z, X=good.X, lam=good.lam,
-                          nu0=good.nu0, nu1=good.nu1, pY1=1.0, T=1)
+                          nu=good.nu, pY1=1.0, T=1)
     lam = good.lam.copy()
     lam[1, 0] = -0.1
     bad_factors = [
@@ -355,14 +355,34 @@ def test_mixture_parameters_validation():
     ]
     for X, lam, message in bad_factors:
         with pytest.raises(ValueError, match=message):
-            MixtureParameters(Z=good.Z, X=X, lam=lam, nu0=good.nu0,
-                              nu1=good.nu1, pY1=0.5, T=1)
+            MixtureParameters(Z=good.Z, X=X, lam=lam, nu=good.nu,
+                              pY1=0.5, T=1)
+    bad_weights = [
+        (good.nu[0], 1, r"nu must be \(2, H\)"),               # 1-d
+        (np.vstack([good.nu, good.nu[:1]]), 1, "nu must be"),  # (3, H)
+        (np.full((2, 3), 1.0 / 3.0), 1, "nu must be"),         # H != 2 of X
+        (np.array([good.nu[0], [0.3, 0.3]]), 1, "sum to 1"),   # row 1
+        (np.array([[1.2, -0.2], good.nu[1]]), 1, "nonnegative"),
+        (np.array([[np.nan, 1.0], good.nu[1]]), 1, "finite"),
+        (np.array([[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12]]), 0,
+         r"nu\[0\] == nu\[1\]"),                               # T=0, unequal
+    ]
+    for nu, T, message in bad_weights:
+        with pytest.raises(ValueError, match=message):
+            MixtureParameters(Z=good.Z, X=good.X, lam=good.lam, nu=nu,
+                              pY1=0.5, T=T)
+    a = np.zeros(good.L, dtype=np.int8)
+    for y in (2, -1):
+        with pytest.raises(ValueError, match="group label"):
+            conditional_log_pmf(a, good, y)
+        with pytest.raises(ValueError, match="group label"):
+            good.group_edge_probability(y)
 
 
 def test_group_edge_probability_mixes_components():
     params = _two_component_params(V=4, seed=6)
     pi = params.edge_probabilities()
     for y in (0, 1):
-        expected = params.nu(y) @ pi
+        expected = params.nu[y] @ pi
         assert np.allclose(params.group_edge_probability(y), expected,
                            atol=1e-15)

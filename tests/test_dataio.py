@@ -241,6 +241,10 @@ def test_parse_config_errors(tmp_path):
         ("just some words\n", "expected 'key = value'"),
         ("record_pi = true\n", "unknown config key"),
         ("scenario = banana\n", "scenario must be one of"),
+        ("a0 = nan\n", "'a0' must be finite"),
+        ("z_var = inf\n", "'z_var' must be finite"),
+        ("dirichlet_conc = -inf\n", "'dirichlet_conc' must be finite"),
+        ("shift = NaN\n", "'shift' must be finite"),
     ]
     for i, (text, pattern) in enumerate(cases):
         with pytest.raises(ConfigError, match=pattern):

@@ -23,8 +23,7 @@ def _flat_params(V):
     """One component at log-odds 0 on every edge."""
     return MixtureParameters(Z=np.zeros(V * (V - 1) // 2),
                              X=np.zeros((1, V, 1)), lam=np.zeros((1, 1)),
-                             nu0=np.array([1.0]), nu1=np.array([1.0]),
-                             pY1=0.5, T=0)
+                             nu=np.ones((2, 1)), pY1=0.5, T=0)
 
 
 def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
@@ -35,8 +34,7 @@ def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
     return MixtureParameters(Z=np.full(L, float(logit(p_low))),
                              X=np.stack([np.ones((V, 1)), np.zeros((V, 1))]),
                              lam=np.array([[gap], [0.0]]),
-                             nu0=np.asarray(nu0, float),
-                             nu1=np.asarray(nu1, float), pY1=pY1, T=T)
+                             nu=np.array([nu0, nu1], float), pY1=pY1, T=T)
 
 
 def _state_for(params, theta, n, assignments=None):
@@ -315,7 +313,7 @@ def test_sign_flip_does_not_change_downstream_updates():
     Xf[0, :, 0] = -Xf[0, :, 0]
     flipped = MixtureParameters(
         Z=params.Z, X=Xf, lam=params.lam,
-        nu0=params.nu0, nu1=params.nu1, pY1=params.pY1, T=params.T)
+        nu=params.nu, pY1=params.pY1, T=params.T)
     assert np.allclose(params.similarities(), flipped.similarities(),
                        atol=1e-12)
     cohort = _cohort_from_edges(np.eye(6)[:2], [0, 1], 4)
@@ -374,7 +372,7 @@ def test_weights_and_T_posterior_probability(counts0, counts1, bound, side):
         assert prob > bound
     n_rep = 4000
     hits = sum(update_weights_and_T(G, cohort, hyper,
-                                    np.random.default_rng(s))[2]
+                                    np.random.default_rng(s))[1]
                for s in range(n_rep))
     se = np.sqrt(prob * (1 - prob) / n_rep)
     assert abs(hits / n_rep - prob) < 4 * se + 1e-3
@@ -386,11 +384,11 @@ def test_weights_and_T_degenerate_prior():
         hyper = HyperParameters(V=4, H=2, R=1, dirichlet_conc=0.5,
                                 prior_T1=prior)
         for seed in range(10):
-            nu0, nu1, T = update_weights_and_T(G, cohort, hyper,
-                                               np.random.default_rng(seed))
+            nu, T = update_weights_and_T(G, cohort, hyper,
+                                         np.random.default_rng(seed))
             assert T == expected
             if T == 0:
-                assert np.array_equal(nu0, nu1)
+                assert np.array_equal(nu[0], nu[1])
 
 
 def test_weights_and_T_posterior_dirichlet_mean():
@@ -400,10 +398,10 @@ def test_weights_and_T_posterior_dirichlet_mean():
     G, cohort = _weights_state(counts0, counts1)
     nu0s = []
     for seed in range(3000):
-        nu0, nu1, T = update_weights_and_T(G, cohort, hyper,
-                                           np.random.default_rng(seed))
+        nu, T = update_weights_and_T(G, cohort, hyper,
+                                     np.random.default_rng(seed))
         if T == 1:
-            nu0s.append(nu0[0])
+            nu0s.append(nu[0, 0])
     assert len(nu0s) > 500
     expected = (0.5 + 12) / (0.5 + 12 + 0.5 + 2)
     assert abs(np.mean(nu0s) - expected) < 0.02
@@ -523,7 +521,7 @@ def test_run_chain_draws_are_valid_parameters():
     for k in range(draws.n_draws):
         params = draws.params_at(k)  # constructor enforces the invariants
         if params.T == 0:
-            assert np.array_equal(params.nu0, params.nu1)
+            assert np.array_equal(params.nu[0], params.nu[1])
     assert np.isfinite(draws.log_joint_trace).all()
 
 

@@ -14,8 +14,7 @@ def _single_component_params(V, pi_value):
     L = V * (V - 1) // 2
     return MixtureParameters(Z=np.full(L, float(logit(pi_value))),
                              X=np.zeros((1, V, 1)), lam=np.zeros((1, 1)),
-                             nu0=np.array([1.0]),
-                             nu1=np.array([1.0]), pY1=0.5, T=0)
+                             nu=np.ones((2, 1)), pY1=0.5, T=0)
 
 
 def _two_level_params(p_low, p_high, V=4):
@@ -25,8 +24,8 @@ def _two_level_params(p_low, p_high, V=4):
     return MixtureParameters(Z=np.full(L, float(logit(p_low))),
                              X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
                              lam=np.array([[0.0], [gap]]),
-                             nu0=np.array([1.0, 0.0]),
-                             nu1=np.array([0.0, 1.0]), pY1=0.5, T=1)
+                             nu=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                             pY1=0.5, T=1)
 
 
 def test_uniform_single_component():
@@ -53,7 +52,7 @@ def test_edge_marginal_identity():
         pi = params.edge_probabilities()
         for y in (0, 1):
             table = enumerate_pmf(params, y)
-            expected = params.nu(y) @ pi
+            expected = params.nu[y] @ pi
             got = np.array([table.edge_marginal(l) for l in range(1, 7)])
             assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
@@ -109,6 +108,12 @@ def test_rejects_large_V():
     params = _single_component_params(6, 0.5)
     with pytest.raises(ValueError, match="V <= 5"):
         enumerate_pmf(params)
+
+
+@pytest.mark.parametrize("y", [2, -1])
+def test_rejects_bad_label(y):
+    with pytest.raises(ValueError, match="group label"):
+        enumerate_pmf(_two_level_params(0.2, 0.8), y=y)
 
 
 def test_table_validation():

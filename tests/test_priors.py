@@ -37,6 +37,11 @@ def test_validation():
         HyperParameters(V=4, prior_T1=1.5)
     with pytest.raises(ValueError):
         HyperParameters(V=4, dirichlet_conc=0.0)
+    for name in ("a0", "a1", "z_var", "mig_a1", "mig_a2", "dirichlet_conc"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive "
+                                                 "and finite"):
+                HyperParameters(V=4, **{name: value})
     # degenerate prior odds are allowed: they pin T
     assert HyperParameters(V=4, prior_T1=0.0).prior_T1 == 0.0
     assert HyperParameters(V=4, prior_T1=1.0).prior_T1 == 1.0
@@ -62,14 +67,14 @@ def test_sample_prior_degenerate_T():
     for _ in range(25):
         p0, _ = sample_prior(hyper0, rng)
         p1, _ = sample_prior(hyper1, rng)
-        assert p0.T == 0 and np.array_equal(p0.nu0, p0.nu1)
+        assert p0.T == 0 and np.array_equal(p0.nu[0], p0.nu[1])
         assert p1.T == 1
 
 
 def test_shared_weights_under_T0():
     hyper = HyperParameters(V=4, H=4, R=1, prior_T1=0.0)
     params, _ = sample_prior(hyper, np.random.default_rng(2))
-    assert np.array_equal(params.nu0, params.nu1)
+    assert np.array_equal(params.nu[0], params.nu[1])
 
 
 def test_strong_shrinkage_kills_high_columns():
@@ -107,11 +112,11 @@ def test_log_prior_density_matches_scipy():
     alpha = np.full(hyper.H, hyper.dirichlet_conc)
     if params.T == 1:
         expected += (np.log(hyper.prior_T1)
-                     + dirichlet.logpdf(params.nu0, alpha)
-                     + dirichlet.logpdf(params.nu1, alpha))
+                     + dirichlet.logpdf(params.nu[0], alpha)
+                     + dirichlet.logpdf(params.nu[1], alpha))
     else:
         expected += (np.log1p(-hyper.prior_T1)
-                     + dirichlet.logpdf(params.nu0, alpha))
+                     + dirichlet.logpdf(params.nu[0], alpha))
     assert np.isclose(log_prior_density(params, theta, hyper), expected,
                       atol=1e-9, rtol=0)
 
@@ -123,7 +128,7 @@ def test_log_prior_density_column_sign_flip_invariant():
     Xf[0, :, 1] = -Xf[0, :, 1]
     flipped = MixtureParameters(
         Z=params.Z, X=Xf, lam=params.lam,
-        nu0=params.nu0, nu1=params.nu1, pY1=params.pY1, T=params.T)
+        nu=params.nu, pY1=params.pY1, T=params.T)
     a = log_prior_density(params, theta, hyper)
     b = log_prior_density(flipped, theta, hyper)
     assert np.isclose(a, b, atol=1e-10, rtol=0)
@@ -144,21 +149,21 @@ def test_mixing_weights_prior_support():
     hyper = HyperParameters(V=4, H=2, R=1, dirichlet_conc=0.5)
     nu_a = np.array([0.3, 0.7])
     nu_b = np.array([0.6, 0.4])
-    assert mixing_weights_log_prior(nu_a, nu_b, 0, hyper) == -np.inf
-    assert np.isfinite(mixing_weights_log_prior(nu_a, nu_b, 1, hyper))
-    assert np.isfinite(mixing_weights_log_prior(nu_a, nu_a.copy(), 0, hyper))
+    assert mixing_weights_log_prior(np.array([nu_a, nu_b]), 0, hyper) == -np.inf
+    assert np.isfinite(mixing_weights_log_prior(np.array([nu_a, nu_b]), 1, hyper))
+    assert np.isfinite(mixing_weights_log_prior(np.array([nu_a, nu_a]), 0, hyper))
     # simplex boundary scores -inf under conc < 1
-    assert mixing_weights_log_prior(np.array([1.0, 0.0]),
-                                    np.array([1.0, 0.0]), 0, hyper) == -np.inf
+    assert mixing_weights_log_prior(np.array([[1.0, 0.0], [1.0, 0.0]]), 0,
+                                    hyper) == -np.inf
     with pytest.raises(ValueError):
-        mixing_weights_log_prior(nu_a, nu_a, 2, hyper)
+        mixing_weights_log_prior(np.array([nu_a, nu_a]), 2, hyper)
 
 
 def test_degenerate_prior_odds_density():
     hyper = HyperParameters(V=4, H=2, R=1, prior_T1=1.0)
     nu = np.array([0.5, 0.5])
-    assert mixing_weights_log_prior(nu, nu.copy(), 0, hyper) == -np.inf
-    assert np.isfinite(mixing_weights_log_prior(nu, nu.copy(), 1, hyper))
+    assert mixing_weights_log_prior(np.array([nu, nu]), 0, hyper) == -np.inf
+    assert np.isfinite(mixing_weights_log_prior(np.array([nu, nu]), 1, hyper))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.floats(1.5, 4.0))

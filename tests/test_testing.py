@@ -24,8 +24,7 @@ def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
     return MixtureParameters(Z=np.full(L, float(logit(p_low))),
                              X=np.stack([np.ones((V, 1)), np.zeros((V, 1))]),
                              lam=np.array([[gap], [0.0]]),
-                             nu0=np.asarray(nu0, float),
-                             nu1=np.asarray(nu1, float), pY1=pY1, T=T)
+                             nu=np.array([nu0, nu1], float), pY1=pY1, T=T)
 
 
 def _gap_params(V=4):
@@ -42,7 +41,7 @@ def _draws_from_params(params_list, single_group=False):
     Z = np.stack([p.Z for p in params_list])
     X = np.stack([p.X for p in params_list])
     lam = np.stack([p.lam for p in params_list])
-    nu = np.stack([np.stack([p.nu0, p.nu1]) for p in params_list])
+    nu = np.stack([p.nu for p in params_list])
     return PosteriorDraws(
         Z=Z, X=X, lam=lam, theta=np.ones_like(lam), nu=nu,
         pY1=np.array([p.pY1 for p in params_list]),
@@ -144,7 +143,7 @@ def test_edge_difference_values():
 def test_functionals_invariant_to_component_relabeling():
     p = _gap_params()
     swapped = MixtureParameters(Z=p.Z, X=p.X[::-1], lam=p.lam[::-1],
-                                nu0=p.nu0[::-1].copy(), nu1=p.nu1[::-1].copy(),
+                                nu=p.nu[:, ::-1].copy(),
                                 pY1=p.pY1, T=p.T)
     a, b = _draws_from_params([p]), _draws_from_params([swapped])
     assert np.allclose(local_test(a, 0.1), local_test(b, 0.1), atol=1e-12)
@@ -158,7 +157,7 @@ def _reference_functionals(draws, cohort, epsilon):
     for k in range(draws.n_draws):
         params = draws.params_at(k)
         pi = params.edge_probabilities()
-        p0, p1 = params.nu0 @ pi, params.nu1 @ pi
+        p0, p1 = params.nu[0] @ pi, params.nu[1] @ pi
         exceed = exceed + (cramers_v_from_probs(p0, p1, params.pY1) > epsilon)
         diff = diff + (p1 - p0)
         lp = np.array([[np.log(params.pY1 if y else 1.0 - params.pY1)
@@ -296,7 +295,7 @@ def test_classify_separates_extreme_networks():
 def test_classify_relabeling_invariance():
     p = _gap_params()
     swapped = MixtureParameters(Z=p.Z, X=p.X[::-1], lam=p.lam[::-1],
-                                nu0=p.nu0[::-1].copy(), nu1=p.nu1[::-1].copy(),
+                                nu=p.nu[:, ::-1].copy(),
                                 pY1=p.pY1, T=p.T)
     rng = np.random.default_rng(2)
     cohort = _cohort_from_edges((rng.random((6, 6)) < 0.5).astype(float),
@@ -313,8 +312,8 @@ def test_classify_saturated_log_odds_matches_pmf():
     params = MixtureParameters(Z=np.full(L, 40.0),
                                X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
                                lam=np.array([[0.0], [5.0]]),
-                               nu0=np.array([0.8, 0.2]),
-                               nu1=np.array([0.3, 0.7]), pY1=0.4, T=1)
+                               nu=np.array([[0.8, 0.2], [0.3, 0.7]]),
+                               pY1=0.4, T=1)
     edges = np.ones((3, L))
     edges[1, 0] = edges[2, :2] = 0.0
     cohort = _cohort_from_edges(edges, [0, 1, 0], V)
