@@ -13,8 +13,12 @@ remaining blocks are standard conjugate conditionals. The omega block
 returns only the per-component sums W (H, L) that Z and the factors read.
 Factor updates run in scaled coordinates Xbar = X sqrt(lambda) so the
 shrinkage auxiliaries theta stay conjugate without changing the
-similarities. The sweep runs on plain arrays (AugmentedState); parameter
-objects are built only at the boundaries.
+similarities. Given W the components' factor conditionals are
+independent, so the factor block is batched across components: one
+stacked (H, R, R) Cholesky factorization per node in a sequential node
+scan, then the column-swap and theta scans on all components at once.
+The sweep runs on plain arrays (AugmentedState); parameter objects are
+built only at the boundaries.
 
 All randomness flows through one Generator in a fixed order, so a seeded
 run is reproducible bit for bit.
@@ -25,7 +29,6 @@ import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import logsumexp
 
 from .core import (MixtureParameters, NetworkObservation, _categorical,
@@ -240,11 +243,16 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
                    W: np.ndarray, assignments: np.ndarray, cohort: CohortData,
                    hyper: HyperParameters,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component update of the scaled factors and shrinkage weights.
+    """Update of the scaled factors and shrinkage weights, batched across
+    components.
 
-    Rows of Xbar are conjugate normal given the omega sums W; theta is
-    refreshed afterwards (which changes lambda but not Xbar, hence not the
-    similarities). Returns new (Xbar, theta).
+    Given the omega sums W the components' conditionals are independent,
+    so each step runs on all H components at once: rows of Xbar are
+    conjugate normal, drawn in a sequential scan over nodes (node v sees
+    the new rows of nodes before it); column swaps and theta follow, which
+    changes lambda but not Xbar, hence not the similarities. Draw order:
+    the (V, H, R) node noise, then H uniforms per swap step, then H gammas
+    per theta step. Returns new (Xbar, theta).
     """
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
@@ -252,44 +260,48 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     n_h = np.bincount(assignments, minlength=H)
     kappa = (_component_sums(cohort.A, assignments, H) - 0.5 * n_h[:, None]
              - Z * W)
-    Wm = np.zeros((H, V, V))
-    Wm[:, emap.rows0, emap.cols0] = Wm[:, emap.cols0, emap.rows0] = W
-    Km = np.zeros((H, V, V))
-    Km[:, emap.rows0, emap.cols0] = Km[:, emap.cols0, emap.rows0] = kappa
+    # (V, H, V): node v reads one contiguous (H, V) slab
+    Wm = np.zeros((V, H, V))
+    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W.T
+    Km = np.zeros((V, H, V))
+    Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
 
     Xbar, theta = Xbar.copy(), theta.copy()
-    for h in range(H):
-        Xh, theta_h = Xbar[h], theta[h]
-        lam = np.cumprod(1.0 / theta_h)
+    lam = np.cumprod(1.0 / theta, axis=1)
+    prior_prec = np.zeros((H, R, R))
+    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam
+    noise = rng.standard_normal((V, H, R, 1))
+    XbarT = Xbar.transpose(0, 2, 1)  # a view: sees each node's new rows
 
-        # node-by-node Gaussian scan; empty components fall back to the
-        # N(0, lambda) prior automatically (W = kappa = 0). With P = C C^T,
-        # x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
-        for v in range(V):
-            P = np.diag(1.0 / lam) + Xh.T @ (Wm[h, v][:, None] * Xh)
-            chol = np.linalg.cholesky(P)
-            half = dtrtrs(chol, Xh.T @ Km[h, v], lower=1)[0]
-            Xh[v] = dtrtrs(chol, half + rng.standard_normal(R), lower=1, trans=1)[0]
+    # node-by-node Gaussian scan; empty components fall back to the
+    # N(0, lambda) prior automatically (W = kappa = 0). With P = C C^T,
+    # x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
+    for v in range(V):
+        P = prior_prec + XbarT @ (Wm[v][:, :, None] * Xbar)
+        chol = np.linalg.cholesky(P)
+        half = np.linalg.solve(chol, XbarT @ Km[v][:, :, None]) + noise[v]
+        Xbar[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
 
-        # Metropolis column swaps: the likelihood only sees the column sum
-        # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on
-        # the Gaussian prior ratio alone. Without this the active column can
-        # get stuck in a low-lambda slot and the ordering never mixes.
-        col_ss = (Xh * Xh).sum(axis=0)
-        for j in range(R - 1):
-            log_acc = 0.5 * (1.0 / lam[j] - 1.0 / lam[j + 1]) * (col_ss[j] - col_ss[j + 1])
-            if np.log(rng.random()) < log_acc:
-                Xh[:, [j, j + 1]] = Xh[:, [j + 1, j]]
-                col_ss[[j, j + 1]] = col_ss[[j + 1, j]]
+    # Metropolis column swaps: the likelihood only sees the column sum
+    # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on
+    # the Gaussian prior ratio alone. Without this the active column can
+    # get stuck in a low-lambda slot and the ordering never mixes.
+    col_ss = (Xbar * Xbar).sum(axis=1)
+    for j in range(R - 1):
+        log_acc = (0.5 * (1.0 / lam[:, j] - 1.0 / lam[:, j + 1])
+                   * (col_ss[:, j] - col_ss[:, j + 1]))
+        swap = np.flatnonzero(np.log(rng.random(H)) < log_acc)
+        Xbar[swap, :, j:j + 2] = Xbar[swap][:, :, [j + 1, j]]
+        col_ss[swap, j:j + 2] = col_ss[swap][:, [j + 1, j]]
 
-        # shrinkage scan: theta_m | rest with the other thetas current
-        for m in range(R):
-            masked = theta_h.copy()
-            masked[m] = 1.0
-            tau = np.cumprod(masked)
-            shape = shapes[m] + 0.5 * V * (R - m)
-            rate = 1.0 + 0.5 * np.sum(tau[m:] * col_ss[m:])
-            theta_h[m] = rng.gamma(shape, 1.0 / rate)
+    # shrinkage scan: theta_m | rest with the other thetas current
+    for m in range(R):
+        masked = theta.copy()
+        masked[:, m] = 1.0
+        tau = np.cumprod(masked, axis=1)
+        shape = shapes[m] + 0.5 * V * (R - m)
+        rate = 1.0 + 0.5 * np.sum(tau[:, m:] * col_ss[:, m:], axis=1)
+        theta[:, m] = rng.gamma(shape, 1.0 / rate)
     return Xbar, theta
 
 
@@ -379,6 +391,7 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
     Initialization is a fresh prior draw. Single-group cohorts are fit
     normally but flagged in meta (the group-difference test needs both
     groups). Identical data, hyper, and config give identical results.
+    Raises ValueError at the first sweep whose log joint is not finite.
     """
     cohort = as_cohort(data)
     if cohort.V != hyper.V:
@@ -415,7 +428,13 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
     k = 0
     for it in range(1, config.n_iter + 1):
         state = gibbs_sweep(state, cohort, hyper, rng)
-        out.log_joint_trace[it - 1] = log_joint(state, cohort, hyper)
+        lj = log_joint(state, cohort, hyper)
+        if not np.isfinite(lj):
+            raise ValueError(
+                f"log joint is {lj} at sweep {it} (dirichlet_conc="
+                f"{hyper.dirichlet_conc:g}); a tiny concentration underflows "
+                f"mixing weights to exact zeros")
+        out.log_joint_trace[it - 1] = lj
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
             for name in ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments"):
                 getattr(out, name)[k] = getattr(state, name)

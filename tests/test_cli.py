@@ -204,6 +204,21 @@ def test_fit_bad_config(workspace, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_fit_underflowing_weights_is_one_line_error(workspace, tmp_path,
+                                                    capsys):
+    cfg = tmp_path / "tiny_conc.cfg"
+    cfg.write_text("h = 3\nr = 2\ndirichlet_conc = 1e-8\n"
+                   "n_iter = 60\nburn_in = 10\nthin = 2\nseed = 3\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--manifest", str(workspace["manifest"]),
+                    "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log joint is") and "sweep 1 " in err
+    assert "dirichlet_conc=1e-08" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "draws.bin").exists()
+
+
 # --------------------------------------------------------------- test
 
 

@@ -3,17 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import betaln, expit, logit
 from scipy.stats import kendalltau
 
 from netmix import inference
-from netmix.core import MixtureParameters, _component_log_liks, sample_cohort
+from netmix.core import (MixtureParameters, _component_log_liks,
+                         edge_index_map, sample_cohort)
 from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
                               as_cohort, gibbs_sweep,
                               log_joint, run_chain, update_assignments,
                               update_factors, update_omega, update_pY,
                               update_weights_and_T, update_Z)
-from netmix.priors import HyperParameters, sample_prior
+from netmix.priors import HyperParameters, _theta_shapes, sample_prior
 from netmix.synthetic import shifted_mixture_truth
 
 # ----------------------------------------------------------- helpers
@@ -303,6 +305,106 @@ def test_update_factors_keeps_lam_consistent():
     assert (lam > 0).all()
 
 
+class _Replay:
+    """Serves update_factors' draws to the per-component reference loop:
+    the block draws (V, H, R) normals, then random(H) per swap step, then
+    gamma(shape, (H,) scale) per theta step; the reference asks for them
+    component by component."""
+
+    def __init__(self, seed, V, H, R, shapes):
+        rng = np.random.default_rng(seed)
+        self.noise = rng.standard_normal((V, H, R))
+        self.u = [rng.random(H) for _ in range(R - 1)]
+        # Generator.gamma(shape, scale) is scale * standard_gamma(shape)
+        self.g = [rng.standard_gamma(shapes[m] + 0.5 * V * (R - m), H)
+                  for m in range(R)]
+        self.V, self.R = V, R
+        self.calls = {"normal": 0, "random": 0, "gamma": 0}
+
+    def _next(self, kind):
+        k = self.calls[kind]
+        self.calls[kind] += 1
+        return k
+
+    def standard_normal(self, size):
+        h, v = divmod(self._next("normal"), self.V)
+        return self.noise[v, h]
+
+    def random(self):
+        h, j = divmod(self._next("random"), self.R - 1)
+        return self.u[j][h]
+
+    def gamma(self, shape, scale):
+        h, m = divmod(self._next("gamma"), self.R)
+        return scale * self.g[m][h]
+
+
+def _reference_update_factors(Xbar, theta, Z, W, assignments, cohort,
+                              hyper, rng):
+    """The factor block one component at a time: scalar Cholesky and
+    triangular solves per (component, node), scalar swap and theta steps."""
+    emap = edge_index_map(hyper.V)
+    V, R, H = hyper.V, hyper.R, hyper.H
+    shapes = _theta_shapes(hyper)
+    n_h = np.bincount(assignments, minlength=H)
+    kappa = (inference._component_sums(cohort.A, assignments, H)
+             - 0.5 * n_h[:, None] - Z * W)
+    Wm = np.zeros((H, V, V))
+    Wm[:, emap.rows0, emap.cols0] = Wm[:, emap.cols0, emap.rows0] = W
+    Km = np.zeros((H, V, V))
+    Km[:, emap.rows0, emap.cols0] = Km[:, emap.cols0, emap.rows0] = kappa
+
+    Xbar, theta = Xbar.copy(), theta.copy()
+    for h in range(H):
+        Xh, theta_h = Xbar[h], theta[h]
+        lam = np.cumprod(1.0 / theta_h)
+        for v in range(V):
+            P = np.diag(1.0 / lam) + Xh.T @ (Wm[h, v][:, None] * Xh)
+            chol = np.linalg.cholesky(P)
+            half = dtrtrs(chol, Xh.T @ Km[h, v], lower=1)[0]
+            Xh[v] = dtrtrs(chol, half + rng.standard_normal(R), lower=1,
+                           trans=1)[0]
+        col_ss = (Xh * Xh).sum(axis=0)
+        for j in range(R - 1):
+            log_acc = (0.5 * (1.0 / lam[j] - 1.0 / lam[j + 1])
+                       * (col_ss[j] - col_ss[j + 1]))
+            if np.log(rng.random()) < log_acc:
+                Xh[:, [j, j + 1]] = Xh[:, [j + 1, j]]
+                col_ss[[j, j + 1]] = col_ss[[j + 1, j]]
+        for m in range(R):
+            masked = theta_h.copy()
+            masked[m] = 1.0
+            tau = np.cumprod(masked)
+            shape = shapes[m] + 0.5 * V * (R - m)
+            rate = 1.0 + 0.5 * np.sum(tau[m:] * col_ss[m:])
+            theta_h[m] = rng.gamma(shape, 1.0 / rate)
+    return Xbar, theta
+
+
+@pytest.mark.parametrize("V,H,R,n", [(68, 15, 10, 114), (6, 3, 1, 10),
+                                     (6, 1, 3, 10)],
+                         ids=["paper_shape", "R1", "H1"])
+def test_update_factors_matches_per_component_reference(V, H, R, n):
+    hyper = HyperParameters(V=V, H=H, R=R)
+    rng = np.random.default_rng(V * 100 + H * 10 + R)
+    params, theta = sample_prior(hyper, rng)
+    A = (rng.random((n, hyper.L)) < 0.4).astype(np.float64)
+    cohort = _cohort_from_edges(A, rng.integers(0, 2, n), V)
+    # at paper shape only the first third of the components hold subjects
+    G = rng.integers(0, max(1, H // 3), n)
+    state = _state_for(params, theta, n, assignments=G)
+    W = update_omega(state.Z + state.D, G, rng)
+    Xbar, th = update_factors(state.Xbar, state.theta, state.Z, W, G, cohort,
+                              hyper, np.random.default_rng(7))
+    replay = _Replay(7, V, H, R, _theta_shapes(hyper))
+    Xref, thref = _reference_update_factors(state.Xbar, state.theta, state.Z,
+                                            W, G, cohort, hyper, replay)
+    assert replay.calls == {"normal": H * V, "random": H * (R - 1),
+                            "gamma": H * R}
+    assert np.abs(Xbar - Xref).max() <= 1e-12
+    assert np.abs(th - thref).max() <= 1e-12
+
+
 def test_sign_flip_does_not_change_downstream_updates():
     # flipping an X column's sign leaves the similarities, hence the
     # omega and Z conditionals, unchanged
@@ -503,6 +605,18 @@ def test_run_chain_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="V="):
         run_chain(cohort, HyperParameters(V=5, H=2, R=1),
                   SamplerConfig(n_iter=10, burn_in=5, thin=1))
+
+
+def test_run_chain_rejects_non_finite_log_joint():
+    # Dirichlet(1e-8 + counts) draws underflow to exact zeros for empty
+    # components, so the log joint leaves the reals at the first sweep
+    obs = sample_cohort(shifted_mixture_truth(8, seed=3).params, 6, 6,
+                        np.random.default_rng(3))
+    hyper = HyperParameters(V=8, H=3, R=2, dirichlet_conc=1e-8)
+    with pytest.raises(ValueError,
+                       match=r"at sweep 1 \(dirichlet_conc=1e-08\)"):
+        run_chain(obs, hyper, SamplerConfig(n_iter=60, burn_in=10, thin=2,
+                                            seed=3))
 
 
 def test_run_chain_single_group_flagged():
