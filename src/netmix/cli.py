@@ -157,14 +157,19 @@ def _load_metadata_checked(path, V: int):
     return metadata
 
 
+def _check_manifest(path, draws, hint: str = "") -> CohortData:
+    """The cohort of a manifest, which must be the one the draws were fit to."""
+    cohort = CohortData.from_observations(dataio.load_dataset(path)[0])
+    if cohort.checksum != draws.meta.get("data_checksum"):
+        raise NetmixError(f"{path}: cohort does not match the one the "
+                          f"archive was fit to{hint}")
+    return cohort
+
+
 def _cmd_test(args) -> int:
     draws = dataio.load_draws(args.archive)
     if args.manifest is not None:
-        observations, _ = dataio.load_dataset(args.manifest)
-        cohort = CohortData.from_observations(observations)
-        if cohort.checksum != draws.meta.get("data_checksum"):
-            raise NetmixError(f"{args.manifest}: cohort does not match the "
-                              f"one the archive was fit to")
+        _check_manifest(args.manifest, draws)
     metadata = None
     if args.metadata is not None:
         metadata = _load_metadata_checked(args.metadata, draws.meta["V"])
@@ -188,14 +193,11 @@ def _cmd_test(args) -> int:
 
 def _cmd_predict(args) -> int:
     draws = dataio.load_draws(args.archive)
-    source = args.new_data if args.new_data is not None else args.manifest
-    observations, _ = dataio.load_dataset(source)
-    cohort = CohortData.from_observations(observations)
-    if args.new_data is None:
-        if cohort.checksum != draws.meta.get("data_checksum"):
-            raise NetmixError(f"{args.manifest}: cohort does not match the "
-                              f"one the archive was fit to; pass held-out "
-                              f"subjects via --new-data")
+    hint = "" if args.new_data else "; pass held-out subjects via --new-data"
+    cohort = _check_manifest(args.manifest, draws, hint)
+    if args.new_data is not None:
+        cohort = CohortData.from_observations(
+            dataio.load_dataset(args.new_data)[0])
     try:
         result = classify(draws, cohort)
         auc, accuracy = evaluate_classifier(result)
@@ -269,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score subjects against a fit")
     p.add_argument("--archive", required=True)
     p.add_argument("--manifest", required=True,
-                   help="training cohort manifest (checksum verified)")
+                   help="training cohort manifest (checksum always verified)")
     p.add_argument("--new-data", default=None,
                    help="manifest of held-out subjects to score instead")
     p.add_argument("--out-dir", required=True)

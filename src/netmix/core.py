@@ -75,14 +75,9 @@ class EdgeIndexMap:
     def __init__(self, V: int):
         self.V = int(V)
         self.L = edge_count(self.V)
-        cols = np.concatenate([np.full(self.V - 1 - u, u, dtype=np.int64)
-                               for u in range(self.V - 1)])
-        rows = np.concatenate([np.arange(u + 1, self.V, dtype=np.int64)
-                               for u in range(self.V - 1)])
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        self.rows0 = rows
-        self.cols0 = cols
+        self.cols0, self.rows0 = np.triu_indices(self.V, 1)
+        self.rows0.setflags(write=False)
+        self.cols0.setflags(write=False)
 
     def edge_index(self, v: int, u: int) -> int:
         """Linear index in 1..L of the edge between nodes v and u (1-based)."""
@@ -331,15 +326,22 @@ def _component_log_liks(S: np.ndarray, A: np.ndarray) -> np.ndarray:
     return A @ np.swapaxes(S, -1, -2) - softplus.sum(axis=-1)[..., None, :]
 
 
+def _log_mixture(comp_lp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """log sum_h w_h exp(comp_lp_h) over the last axis, weights broadcasting
+    against comp_lp. Zero weights drop out exactly (their terms are masked
+    before the max shift), and all-zero weights give -inf."""
+    masked = np.where(weights > 0.0, comp_lp, -np.inf)
+    m = masked.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return m[..., 0] + np.log(np.sum(weights * np.exp(masked - m), axis=-1))
+
+
 def _mixture_log_pmf(a: np.ndarray, params: MixtureParameters,
                      weights: np.ndarray) -> float:
     a = _check_edges(a, params.L)
     comp_lp = _component_log_liks(params.similarities(), a[None])[0]
-    mask = weights > 0.0
-    if not mask.any():
-        return float("-inf")
-    m = comp_lp[mask].max()
-    return float(m + np.log(np.sum(weights[mask] * np.exp(comp_lp[mask] - m))))
+    return float(_log_mixture(comp_lp, weights))
 
 
 def conditional_log_pmf(a: np.ndarray, params: MixtureParameters, y: int) -> float:
@@ -373,14 +375,15 @@ def sample_network(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(pi.shape[0]) < pi).astype(np.int8)
 
 
-def _draw_group(params: MixtureParameters, y: int, n: int, start: int,
-                rng: np.random.Generator, pi_all: np.ndarray):
-    G = _categorical(params.nu[y], rng.random(n))
-    obs = []
-    for k in range(n):
-        edges = sample_network(pi_all[G[k]], rng)
-        obs.append(NetworkObservation(edges=edges, label=y,
-                                      subject_id=f"s{start + k:04d}"))
+def _draw_subjects(params: MixtureParameters, y: np.ndarray, u: np.ndarray,
+                   U: np.ndarray):
+    """Subjects with labels y (n,): component G_i is the categorical draw
+    from nu[y_i] at uniform u_i, and edge l is present when U_il < pi(G_i)_l.
+    Returns (observations with ids s0000, s0001, ..., assignments G)."""
+    G = _categorical(params.nu[y], u)
+    A = (U < params.edge_probabilities()[G]).astype(np.int8)
+    obs = [NetworkObservation(edges=a, label=int(label), subject_id=f"s{i:04d}")
+           for i, (a, label) in enumerate(zip(A, y))]
     return obs, G
 
 
@@ -389,10 +392,11 @@ def sample_cohort(params: MixtureParameters, n0: int, n1: int,
     """Simulate a labeled cohort: n0 group-0 subjects then n1 group-1."""
     if n0 < 0 or n1 < 0 or n0 + n1 == 0:
         raise ValueError(f"need n0, n1 >= 0 with n0+n1 > 0, got ({n0}, {n1})")
-    pi_all = params.edge_probabilities()
-    obs0, _ = _draw_group(params, 0, n0, 0, rng, pi_all)
-    obs1, _ = _draw_group(params, 1, n1, n0, rng, pi_all)
-    return obs0 + obs1
+    u, U = np.empty(n0 + n1), np.empty((n0 + n1, params.L))
+    for rows in (slice(0, n0), slice(n0, None)):
+        rng.random(out=u[rows])
+        rng.random(out=U[rows])
+    return _draw_subjects(params, np.repeat([0, 1], [n0, n1]), u, U)[0]
 
 
 def sample_joint_cohort(params: MixtureParameters, n: int,
@@ -405,12 +409,5 @@ def sample_joint_cohort(params: MixtureParameters, n: int,
     if n <= 0:
         raise ValueError(f"need n > 0, got {n}")
     y = (rng.random(n) < params.pY1).astype(np.int64)
-    pi_all = params.edge_probabilities()
-    G = np.empty(n, dtype=np.int64)
-    obs = []
-    for i in range(n):
-        G[i] = _categorical(params.nu[y[i]], rng.random(1))[0]
-        edges = sample_network(pi_all[G[i]], rng)
-        obs.append(NetworkObservation(edges=edges, label=int(y[i]),
-                                      subject_id=f"s{i:04d}"))
-    return obs, G
+    U = rng.random((n, 1 + params.L))
+    return _draw_subjects(params, y, U[:, 0], U[:, 1:])

@@ -29,7 +29,6 @@ import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (MixtureParameters, NetworkObservation, _categorical,
                    _component_log_liks, _deviations, edge_index_map)
@@ -195,11 +194,12 @@ class AugmentedState:
 def update_assignments(S: np.ndarray, nu: np.ndarray, cohort: CohortData,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw assignments from Pr(G_i = h) proportional to nu_{y_i,h} times
-    the Bernoulli likelihood of subject i under similarities S_h."""
+    the Bernoulli likelihood of subject i under similarities S_h. Rows are
+    only max-shifted before exp: _categorical normalizes them itself."""
     with np.errstate(divide="ignore"):
         lognu = np.log(nu)
     logpost = _component_log_liks(S, cohort.A) + lognu[cohort.y]
-    logpost -= logsumexp(logpost, axis=1, keepdims=True)
+    logpost -= logpost.max(axis=1, keepdims=True)
     return _categorical(np.exp(logpost), rng.random(cohort.n))
 
 

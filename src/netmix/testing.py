@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp
-from scipy.stats import fisher_exact, rankdata
+from scipy.special import expit, logit
 
 from .core import (MixtureParameters, _component_log_liks, _deviations,
-                   edge_index_map, logistic_map, node_count)
+                   _log_mixture, edge_index_map, logistic_map, node_count)
 from .inference import PosteriorDraws, as_cohort
 
 __all__ = [
@@ -232,14 +231,13 @@ def classify(draws: PosteriorDraws, data) -> ClassificationResult:
     draw's own mixture; the reported probability is the draw average.
     """
     cohort = as_cohort(data)
-    if cohort.V * (cohort.V - 1) // 2 != draws.Z.shape[1]:
+    if cohort.L != draws.Z.shape[1]:
         raise ValueError("cohort node count does not match the fitted draws")
     probs = np.zeros(cohort.n)
     for sl, S in _edge_log_odds_blocks(draws):
         comp_lp = _component_log_liks(S, cohort.A)  # (k, n, H)
-        with np.errstate(divide="ignore"):
-            lp_y = logsumexp(comp_lp[:, :, None, :], b=draws.nu[sl][:, None],
-                             axis=3)  # (k, n, 2)
+        lp_y = _log_mixture(comp_lp[:, :, None, :],
+                            draws.nu[sl][:, None])  # (k, n, 2)
         probs += expit(lp_y[..., 1] - lp_y[..., 0]
                        + logit(draws.pY1[sl])[:, None]).sum(axis=0)
     probs /= draws.n_draws
@@ -252,16 +250,18 @@ def classify(draws: PosteriorDraws, data) -> ClassificationResult:
 def evaluate_classifier(result: ClassificationResult) -> tuple[float, float]:
     """(AUC, accuracy) of a classification result against its labels.
 
-    AUC is the rank statistic (ties averaged); raises if only one group
-    is present since AUC is undefined there.
+    AUC is the Mann-Whitney statistic (ties count one half) over n0 n1;
+    raises if only one group is present since AUC is undefined there.
     """
     y = result.labels
     n1 = int((y == 1).sum())
     n0 = y.shape[0] - n1
     if n0 == 0 or n1 == 0:
         raise ValueError("AUC needs both groups present in the labels")
-    ranks = rankdata(result.probabilities)
-    auc = (ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+    p0 = np.sort(result.probabilities[y == 0])
+    p1 = result.probabilities[y == 1]
+    pairs = np.searchsorted(p0, p1, "left") + np.searchsorted(p0, p1, "right")
+    auc = pairs.sum() / 2.0 / (n0 * n1)
     accuracy = float(np.mean(result.predicted == y))
     return float(auc), accuracy
 
@@ -269,6 +269,7 @@ def evaluate_classifier(result: ClassificationResult) -> tuple[float, float]:
 def fisher_edge_pvalues(data) -> np.ndarray:
     """Two-sided Fisher exact test p-value per edge (2x2 table of
     label x edge-presence counts)."""
+    from scipy.stats import fisher_exact  # slow to import; only needed here
     cohort = as_cohort(data)
     if cohort.single_group:
         raise ValueError("Fisher baseline needs both groups in the cohort")

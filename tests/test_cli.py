@@ -1,8 +1,13 @@
 """End-to-end command line workflow on temporary directories."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netmix
 from netmix.cli import run_cli
 from netmix.dataio import load_dataset, load_draws, load_test_report
 from netmix.inference import CohortData
@@ -304,6 +309,21 @@ def test_predict_mismatch_needs_new_data(workspace, tmp_path, capsys):
     assert clf["n_subjects"] == 14
 
 
+def test_predict_checks_manifest_with_new_data(workspace, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert run_cli(["simulate", "--config", str(workspace["sim_cfg"]),
+                    "--seed", "11", "--out-dir", str(other)]) == 0
+    capsys.readouterr()
+    assert run_cli(["predict", "--archive", str(workspace["archive"]),
+                    "--manifest", str(other / "manifest.csv"),
+                    "--new-data", str(other / "manifest.csv"),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "does not match" in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
 def test_predict_single_group_fails(workspace, tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("scenario = clique\nv = 6\nn0 = 4\nn1 = 0\n"
@@ -411,3 +431,15 @@ def test_non_utf8_input_is_one_line_error(workspace, tmp_path, capsys, argv):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         run_cli([])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import; only the Fisher
+    # baseline needs it, so no netmix command should pay for it
+    src = str(Path(netmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, netmix.cli; "
+            "assert 'scipy.stats' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy.stats'))")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

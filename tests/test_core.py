@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmix.core import (MixtureParameters, NetworkObservation, _categorical,
+                         _component_log_liks, _log_mixture,
                          bernoulli_log_pmf, component_log_pmf,
                          conditional_log_pmf, edge_count, edge_index_map,
                          joint_log_pmf, logistic_map, marginal_log_pmf,
                          matricize, node_count, sample_cohort,
                          sample_joint_cohort, sample_network, vectorize)
+from netmix.priors import HyperParameters, sample_prior
 
 # ---------------------------------------------------------------- indexing
 
@@ -316,6 +318,92 @@ def test_sample_joint_cohort_returns_assignments():
     assert set(np.unique(G)) <= {0, 1}
     labels = np.array([o.label for o in obs])
     assert set(np.unique(labels)) <= {0, 1}
+
+
+def _loop_cohort(params, n0, n1, rng):
+    """Reference: one sample_network call per subject, group by group."""
+    pi = params.edge_probabilities()
+    obs = []
+    for y, n in ((0, n0), (1, n1)):
+        G = _categorical(params.nu[y], rng.random(n))
+        obs += [NetworkObservation(edges=sample_network(pi[g], rng), label=y,
+                                   subject_id=f"s{len(obs) + k:04d}")
+                for k, g in enumerate(G)]
+    return obs
+
+
+def _loop_joint_cohort(params, n, rng):
+    """Reference: label uniforms, then per subject one component uniform
+    and one sample_network call."""
+    y = (rng.random(n) < params.pY1).astype(np.int64)
+    pi = params.edge_probabilities()
+    G = np.empty(n, dtype=np.int64)
+    obs = []
+    for i in range(n):
+        G[i] = _categorical(params.nu[y[i]], rng.random(1))[0]
+        obs.append(NetworkObservation(edges=sample_network(pi[G[i]], rng),
+                                      label=int(y[i]), subject_id=f"s{i:04d}"))
+    return obs, G
+
+
+def _assert_same_subjects(obs, ref):
+    assert [(o.subject_id, o.label) for o in obs] == \
+        [(o.subject_id, o.label) for o in ref]
+    for o, r in zip(obs, ref):
+        assert o.edges.dtype == r.edges.dtype == np.int8
+        assert np.array_equal(o.edges, r.edges)
+
+
+@pytest.mark.parametrize("V, H, R, n0, n1", [
+    (68, 15, 10, 57, 57),  # paper shape
+    (4, 3, 2, 6, 5),
+    (5, 2, 1, 0, 7),
+    (5, 2, 1, 7, 0),
+])
+def test_vectorized_draws_match_per_subject_loops(V, H, R, n0, n1):
+    hyper = HyperParameters(V=V, H=H, R=R, prior_T1=1.0)  # nu[0] != nu[1]
+    params, _ = sample_prior(hyper, np.random.default_rng(V))
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    _assert_same_subjects(sample_cohort(params, n0, n1, rng),
+                          _loop_cohort(params, n0, n1, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    obs, G = sample_joint_cohort(params, n0 + n1, rng)
+    ref, ref_G = _loop_joint_cohort(params, n0 + n1, ref_rng)
+    _assert_same_subjects(obs, ref)
+    assert G.dtype == ref_G.dtype and np.array_equal(G, ref_G)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_log_mixture_weights():
+    lp = np.array([-1.0, -2.0, -3.0])
+    assert _log_mixture(lp, np.array([0.5, 0.0, 0.5])) == pytest.approx(
+        np.log(0.5 * np.exp(-1.0) + 0.5 * np.exp(-3.0)), rel=1e-15)
+    assert _log_mixture(lp, np.zeros(3)) == -np.inf
+    # a zero weight on the largest term must not shift the others to underflow
+    assert _log_mixture(np.array([0.0, -5000.0]), np.array([0.0, 1.0])) == -5000.0
+    # weights broadcast: rows (2, H) against subjects (n, 1, H)
+    out = _log_mixture(np.stack([lp, lp - 1.0])[:, None, :],
+                       np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert out.shape == (2, 2)
+    assert np.array_equal(out, [[-1.0, -np.inf], [-2.0, -np.inf]])
+
+
+def test_log_mixture_saturated_log_odds():
+    # |S| >= 40 on every edge: the components' likelihoods differ by
+    # hundreds of nats, so the live terms underflow unless the max shift
+    # skips the zero-weight component, here each subject's likeliest one
+    rng = np.random.default_rng(8)
+    S = rng.choice([-1.0, 1.0], size=(4, 60)) * rng.uniform(40.0, 80.0, (4, 60))
+    A = (S[[0, 1, 2, 3, 0, 1]] > 0).astype(np.float64)  # subject i fits i % 4
+    comp_lp = _component_log_liks(S, A)  # (6, 4)
+    best = comp_lp == comp_lp.max(axis=1, keepdims=True)
+    for w in (np.full((6, 4), 0.25), np.where(best, 0.0, 1.0 / 3.0)):
+        live = np.where(w > 0, comp_lp + np.log(np.where(w > 0, w, 1.0)),
+                        -np.inf)
+        got = _log_mixture(comp_lp, w)
+        assert np.isfinite(got).all()
+        assert np.allclose(got, np.logaddexp.reduce(live, axis=1),
+                           rtol=1e-13, atol=0.0)
 
 
 def test_network_observation_validation():

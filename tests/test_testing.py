@@ -359,6 +359,24 @@ def test_evaluate_classifier_perfect_and_tied():
     assert acc == pytest.approx(0.5)
 
 
+def test_evaluate_classifier_auc_matches_rank_formula():
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        n = int(rng.integers(2, 40))
+        labels = np.zeros(n, dtype=np.int64)
+        labels[rng.permutation(n)[:rng.integers(1, n)]] = 1
+        probs = rng.integers(0, 8, n) / 7.0  # heavy ties
+        result = ClassificationResult(
+            subject_ids=tuple(f"s{i}" for i in range(n)), labels=labels,
+            probabilities=probs, predicted=(probs >= 0.5).astype(np.int8))
+        n1 = int(labels.sum())
+        n0 = n - n1
+        ranks = rankdata(probs)
+        expected = (ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+        assert evaluate_classifier(result)[0] == expected
+
+
 def test_evaluate_classifier_one_class_raises():
     result = ClassificationResult(
         subject_ids=("a", "b"), labels=np.array([1, 1]),
