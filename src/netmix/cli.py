@@ -18,7 +18,7 @@ import numpy as np
 from . import dataio, synthetic
 from .core import MixtureParameters, sample_cohort
 from .dataio import ConfigError, DataFormatError, NetmixError
-from .inference import CohortData, PosteriorDraws, SamplerConfig, run_chain
+from .inference import CohortData, SamplerConfig, run_chain
 from .priors import HyperParameters, sample_prior
 from .testing import (classify, compute_test_report, evaluate_classifier,
                       test_degree)
@@ -111,24 +111,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_draws_csv(draws: PosteriorDraws, path) -> None:
-    H = draws.nu.shape[2]
-    R = draws.lam.shape[2]
-    cols = ["draw", "pY1", "T"]
-    cols += [f"nu0_{h + 1}" for h in range(H)]
-    cols += [f"nu1_{h + 1}" for h in range(H)]
-    cols += [f"lam_{h + 1}_{r + 1}" for h in range(H) for r in range(R)]
-    lines = [",".join(cols)]
-    fmt = lambda x: format(float(x), ".10g")
-    for k in range(draws.n_draws):
-        row = [str(k + 1), fmt(draws.pY1[k]), str(int(draws.T[k]))]
-        row += [fmt(x) for x in draws.nu[k, 0]]
-        row += [fmt(x) for x in draws.nu[k, 1]]
-        row += [fmt(x) for x in draws.lam[k].ravel()]
-        lines.append(",".join(row))
-    dataio.atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def _cmd_fit(args) -> int:
     cfg = dataio.parse_config(args.config) if args.config else {}
     observations, _ = dataio.load_dataset(args.manifest)
@@ -142,7 +124,7 @@ def _cmd_fit(args) -> int:
     out = Path(args.out_dir)
     dataio.save_draws(draws, out / "draws.bin")
     if args.format == "csv":
-        _write_draws_csv(draws, out / "draws.csv")
+        dataio.write_draws_table(draws, out / "draws.csv")
     flag = " (single group)" if cohort.single_group else ""
     print(f"fit: n={cohort.n} V={cohort.V} kept {draws.n_draws} draws{flag} "
           f"-> {out / 'draws.bin'}")

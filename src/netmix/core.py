@@ -102,6 +102,11 @@ def edge_index_map(V: int) -> EdgeIndexMap:
     return EdgeIndexMap(V)
 
 
+def _is_binary(a: np.ndarray) -> bool:
+    """Whether every entry of a is 0 or 1."""
+    return bool(np.logical_or(a == 0, a == 1).all())
+
+
 def vectorize(adjacency: np.ndarray) -> np.ndarray:
     """Lower-triangular column-wise vector of a symmetric binary adjacency.
 
@@ -120,7 +125,7 @@ def vectorize(adjacency: np.ndarray) -> np.ndarray:
         v, u = emap.edge_pair(bad + 1)
         raise ValueError(f"adjacency not symmetric at nodes ({v}, {u})")
     edges = np.asarray(lower)
-    if not np.isin(edges, (0, 1)).all():
+    if not _is_binary(edges):
         raise ValueError("adjacency entries must be 0 or 1 off the diagonal")
     return edges.astype(np.int8)
 
@@ -153,7 +158,7 @@ class NetworkObservation:
         e = np.asarray(self.edges)
         if e.ndim != 1:
             raise ValueError("edges must be a 1-d vector")
-        if not np.isin(e, (0, 1)).all():
+        if not _is_binary(e):
             raise ValueError(f"non-binary edge values for subject {self.subject_id!r}")
         node_count(e.shape[0])  # validates triangular length
         object.__setattr__(self, "edges", e.astype(np.int8))
@@ -283,7 +288,7 @@ def _check_edges(a: np.ndarray, L: int | None = None) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError("edge vector must be 1-d")
-    if not np.isin(a, (0, 1)).all():
+    if not _is_binary(a):
         raise ValueError("edge vector entries must be 0 or 1")
     if L is not None and a.shape[0] != L:
         raise ValueError(f"edge vector length {a.shape[0]} != {L}")

@@ -15,8 +15,9 @@ Formats:
                    embeds timestamps and would break byte-identical
                    reruns.
 
-All writers go through an atomic temp-file + rename and never embed
-timestamps, so identical inputs produce identical bytes.
+CSV tables are read by _read_table and written by _write_table, both on
+the csv module. All writers go through an atomic temp-file + rename and
+never embed timestamps, so identical inputs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ __all__ = [
     "load_draws_meta",
     "save_test_report",
     "load_test_report",
+    "write_draws_table",
     "write_edge_table",
     "write_degree_table",
     "write_difference_matrix",
@@ -130,6 +132,38 @@ def _read_text(path) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+def _read_table(path, header: tuple[str, ...]) -> list[list[str]]:
+    """Stripped cells of the rows of a CSV file whose first row is header.
+    Blank rows are skipped; every other row needs one cell per column."""
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    rows = []
+    try:
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != list(header):
+            raise DataFormatError(f"{path}: expected header "
+                                  f"{','.join(header)!r}, got {first!r}")
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}: malformed row {row!r}")
+            rows.append([cell.strip() for cell in row])
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return rows
+
+
+def _write_table(path, rows, header=None) -> None:
+    """Rows (after header, if given) as CSV with "\n" line ends; only cells
+    holding a comma, a quote or a line break are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
 def _content_lines(path) -> list[str]:
     lines = []
     for line in _read_text(path).splitlines():
@@ -202,23 +236,10 @@ def _read_dense(path, lines: list[str]) -> np.ndarray:
 
 
 def load_node_metadata(path) -> tuple[NodeMetadata, ...]:
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["name", "hemisphere", "lobe"]:
-        raise DataFormatError(
-            f"{path}: expected header 'name,hemisphere,lobe', got {header!r}")
-    nodes = []
-    for row in reader:
-        if not row or not "".join(row).strip():
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"{path}: malformed row {row!r}")
-        nodes.append(NodeMetadata(name=row[0].strip(),
-                                  hemisphere=row[1].strip(),
-                                  lobe=row[2].strip()))
-    if not nodes:
+    rows = _read_table(path, ("name", "hemisphere", "lobe"))
+    if not rows:
         raise DataFormatError(f"{path}: no node rows")
-    return tuple(nodes)
+    return tuple(NodeMetadata(*row) for row in rows)
 
 
 def load_dataset(manifest_path):
@@ -228,19 +249,9 @@ def load_dataset(manifest_path):
     node count.
     """
     manifest_path = Path(manifest_path)
-    reader = csv.reader(io.StringIO(_read_text(manifest_path)))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["subject_id", "label", "path"]:
-        raise DataFormatError(f"{manifest_path}: expected header "
-                              f"'subject_id,label,path', got {header!r}")
     entries = []
     seen = set()
-    for row in reader:
-        if not row or not "".join(row).strip():
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"{manifest_path}: malformed row {row!r}")
-        sid, label_s, rel = (c.strip() for c in row)
+    for sid, label_s, rel in _read_table(manifest_path, ("subject_id", "label", "path")):
         if label_s not in ("0", "1"):
             raise DataFormatError(
                 f"{manifest_path}: label for {sid!r} must be 0 or 1, got {label_s!r}")
@@ -269,19 +280,21 @@ def load_dataset(manifest_path):
 def write_dataset(out_dir, observations) -> Path:
     """Write adjacency CSVs and a manifest for a simulated cohort.
 
-    Returns the manifest path. Files land in out_dir/networks/.
+    Returns the manifest path. Files land in out_dir/networks/<id>.csv;
+    empty ids and ids with a '..' component are rejected up front.
     """
     out_dir = Path(out_dir)
+    observations = list(observations)
+    for sid in (str(obs.subject_id) for obs in observations):
+        if not sid or ".." in sid.split("/"):
+            raise DataFormatError(f"subject id {sid!r} is empty or has a '..' component")
     rows = []
     for obs in observations:
         rel = f"networks/{obs.subject_id}.csv"
-        A = matricize(obs.edges)
-        text = "\n".join(",".join(str(int(x)) for x in row) for row in A) + "\n"
-        atomic_write_text(out_dir / rel, text)
-        rows.append(f"{obs.subject_id},{obs.label},{rel}")
+        _write_table(out_dir / rel, matricize(obs.edges).tolist())
+        rows.append((obs.subject_id, obs.label, rel))
     manifest_path = out_dir / "manifest.csv"
-    atomic_write_text(manifest_path,
-                      "subject_id,label,path\n" + "\n".join(rows) + "\n")
+    _write_table(manifest_path, rows, ("subject_id", "label", "path"))
     return manifest_path
 
 
@@ -500,53 +513,56 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def write_draws_table(draws: PosteriorDraws, path) -> None:
+    """Per-draw CSV of pY1, T, both groups' mixing weights and lam."""
+    H, R = draws.lam.shape[1:]
+    header = ["draw", "pY1", "T", *(f"nu{y}_{h + 1}" for y in (0, 1) for h in range(H)),
+              *(f"lam_{h + 1}_{r + 1}" for h in range(H) for r in range(R))]
+    rows = ([k + 1, _fmt(draws.pY1[k]), int(draws.T[k]),
+             *map(_fmt, draws.nu[k].ravel()), *map(_fmt, draws.lam[k].ravel())]
+            for k in range(draws.n_draws))
+    _write_table(path, rows, header)
+
+
 def write_edge_table(report: TestReport, path,
                      metadata: tuple[NodeMetadata, ...] | None = None) -> None:
     """Per-edge CSV: linear index, node pair (1-based, with names when
     metadata is present), exceedance probability, mean difference, flag."""
     emap = edge_index_map(report.V)
-    cols = "edge,v,u,rho_exceed,edge_diff,significant"
+    header = ("edge", "v", "u", "rho_exceed", "edge_diff", "significant")
+    rows = zip(range(1, report.L + 1), (emap.rows0 + 1).tolist(),
+               (emap.cols0 + 1).tolist(), map(_fmt, report.rho_exceed),
+               map(_fmt, report.edge_diff),
+               report.significant_edges.astype(int).tolist())
     if metadata is not None:
-        cols += ",v_name,u_name"
-    lines = [cols]
-    for l in range(report.L):
-        v, u = int(emap.rows0[l]) + 1, int(emap.cols0[l]) + 1
-        row = (f"{l + 1},{v},{u},{_fmt(report.rho_exceed[l])},"
-               f"{_fmt(report.edge_diff[l])},{int(report.significant_edges[l])}")
-        if metadata is not None:
-            row += f",{metadata[v - 1].name},{metadata[u - 1].name}"
-        lines.append(row)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        header += ("v_name", "u_name")
+        rows = (row + (metadata[row[1] - 1].name, metadata[row[2] - 1].name)
+                for row in rows)
+    _write_table(path, rows, header)
 
 
 def write_degree_table(degrees: np.ndarray, path,
                        metadata: tuple[NodeMetadata, ...] | None = None) -> None:
     """Per-node count of flagged edges, with anatomy columns when known."""
-    cols = "node,degree" if metadata is None else "node,name,hemisphere,lobe,degree"
-    lines = [cols]
-    for v in range(degrees.shape[0]):
-        if metadata is None:
-            lines.append(f"{v + 1},{int(degrees[v])}")
-        else:
-            md = metadata[v]
-            lines.append(f"{v + 1},{md.name},{md.hemisphere},{md.lobe},"
-                         f"{int(degrees[v])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    counts = enumerate(np.asarray(degrees).astype(int).tolist(), start=1)
+    if metadata is None:
+        _write_table(path, counts, ("node", "degree"))
+        return
+    rows = ((v, md.name, md.hemisphere, md.lobe, d)
+            for (v, d), md in zip(counts, metadata, strict=True))
+    _write_table(path, rows, ("node", "name", "hemisphere", "lobe", "degree"))
 
 
 def write_difference_matrix(report: TestReport, path) -> None:
     """V x V matrix of posterior mean edge-probability differences."""
     M = matricize(report.edge_diff, report.V)
-    text = "\n".join(",".join(_fmt(x) for x in row) for row in M) + "\n"
-    atomic_write_text(path, text)
+    _write_table(path, (map(_fmt, row) for row in M))
 
 
 def write_predictions(result: ClassificationResult, path) -> None:
-    lines = ["subject_id,label,prob_group1,predicted"]
-    for i, sid in enumerate(result.subject_ids):
-        lines.append(f"{sid},{int(result.labels[i])},"
-                     f"{_fmt(result.probabilities[i])},{int(result.predicted[i])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(result.subject_ids, result.labels.tolist(),
+               map(_fmt, result.probabilities), result.predicted.tolist())
+    _write_table(path, rows, ("subject_id", "label", "prob_group1", "predicted"))
 
 
 def save_classification(auc: float, accuracy: float, n: int, path) -> None:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (MixtureParameters, NetworkObservation, _categorical,
-                   _component_log_liks, _deviations, edge_index_map)
+                   _component_log_liks, _deviations, _is_binary, edge_index_map)
 from .pg import polya_gamma
 from .priors import (HyperParameters, _draw_weights_and_T, _theta_shapes,
                      log_prior_from_arrays, sample_prior)
@@ -78,6 +78,7 @@ class SamplerConfig:
 
 class CohortData:
     """Stacked cohort: edge matrix A (n, L), labels y (n,), subject ids.
+    Edges and labels must be 0 or 1 and the ids unique.
 
     The checksum is a sha256 over a canonical byte serialization of
     (V, ids, labels, edges); archives store it so downstream commands can
@@ -86,8 +87,9 @@ class CohortData:
 
     def __init__(self, A: np.ndarray, y: np.ndarray, subject_ids: tuple[str, ...],
                  V: int):
+        labels = np.asarray(y)
         self.A = np.ascontiguousarray(A, dtype=np.float64)
-        self.y = np.ascontiguousarray(y, dtype=np.int64)
+        self.y = np.ascontiguousarray(labels, dtype=np.int64)
         self.subject_ids = tuple(subject_ids)
         self.V = int(V)
         self.L = edge_index_map(self.V).L
@@ -95,6 +97,13 @@ class CohortData:
             raise ValueError("edge matrix shape does not match labels and V")
         if len(self.subject_ids) != self.y.shape[0]:
             raise ValueError("subject id count does not match labels")
+        if not _is_binary(self.A):
+            raise ValueError("edge matrix entries must be 0 or 1")
+        if not _is_binary(labels):
+            bad = np.unique(labels[(labels != 0) & (labels != 1)]).tolist()
+            raise ValueError(f"labels must be 0 or 1, got {bad}")
+        if len(set(self.subject_ids)) != len(self.subject_ids):
+            raise ValueError("duplicate subject ids in cohort")
         self.checksum = self._checksum()
 
     @classmethod
@@ -109,12 +118,9 @@ class CohortData:
             if o.V != V:
                 raise ValueError(f"subject {o.subject_id!r} has {o.V} nodes, "
                                  f"expected {V}")
-        ids = tuple(o.subject_id for o in obs)
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate subject ids in cohort")
         A = np.stack([o.edges for o in obs]).astype(np.float64)
         y = np.array([o.label for o in obs], dtype=np.int64)
-        return cls(A, y, ids, V)
+        return cls(A, y, tuple(o.subject_id for o in obs), V)
 
     def _checksum(self) -> str:
         hasher = hashlib.sha256()

@@ -1,15 +1,17 @@
 """End-to-end command line workflow on temporary directories."""
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import netmix
 from netmix.cli import run_cli
-from netmix.dataio import load_dataset, load_draws, load_test_report
+from netmix.dataio import load_dataset, load_draws, load_test_report, write_dataset
 from netmix.inference import CohortData
 
 SIM_CONFIG = """\
@@ -277,6 +279,41 @@ def test_test_metadata_columns(workspace, tmp_path, capsys):
                     "--metadata", str(short),
                     "--out-dir", str(tmp_path / "out2")]) == 1
     assert "fitted model has V=6" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_quoted_names_and_ids_round_trip(workspace, tmp_path):
+    """Node names and subject ids holding a comma or a quote come back
+    whole from every table, each row at header width."""
+    name, lobe = 'pre, "central"', 'front,al "x"'
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(METADATA_6.replace("n1,L,lobe1",
+                                        '"pre, ""central""",L,"front,al ""x"""'))
+    out = tmp_path / "out"
+    assert run_cli(["test", "--archive", str(workspace["archive"]),
+                    "--metadata", str(nodes), "--out-dir", str(out)]) == 0
+    edges, degree = _csv_rows(out / "edges.csv"), _csv_rows(out / "degree.csv")
+    for table in (edges, degree):
+        assert {len(row) for row in table} == {len(table[0])}
+    assert edges[1][-2:] == ["n2", name]
+    assert degree[1][1:4] == [name, "L", lobe]
+
+    observations, _ = load_dataset(workspace["manifest"])
+    observations[0] = replace(observations[0], subject_id="x,1")
+    held = write_dataset(tmp_path / "held", observations)
+    loaded, manifest = load_dataset(held)
+    assert [o.subject_id for o in loaded] == [o.subject_id for o in observations]
+    assert manifest.subjects[0][2] == "networks/x,1.csv"
+    assert run_cli(["predict", "--archive", str(workspace["archive"]),
+                    "--manifest", str(workspace["manifest"]),
+                    "--new-data", str(held), "--out-dir", str(out)]) == 0
+    predictions = _csv_rows(out / "predictions.csv")
+    assert {len(row) for row in predictions} == {4}
+    assert predictions[1][:2] == ["x,1", str(loaded[0].label)]
 
 
 # ------------------------------------------------------------ predict

@@ -1,6 +1,7 @@
 """File formats: adjacency files, manifests, config, archives, artifacts."""
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ def test_write_then_load_dataset(tmp_path):
     assert (tmp_path / "data" / "networks" / "sub00.csv").exists()
 
 
+def test_write_dataset_keeps_files_inside_out_dir(tmp_path):
+    obs = _toy_observations()
+    nested = [replace(obs[0], subject_id="site1/sub01"), *obs[1:]]
+    loaded, _ = load_dataset(write_dataset(tmp_path / "ok", nested))
+    assert loaded[0].subject_id == "site1/sub01"
+    assert (tmp_path / "ok" / "networks" / "site1" / "sub01.csv").exists()
+    for sid in ("../../../escaped", "a/../b", ""):
+        out = tmp_path / "deep" / "er" / "out"
+        with pytest.raises(DataFormatError, match="empty or has a '..' component"):
+            write_dataset(out, [*obs, replace(obs[0], subject_id=sid)])
+        assert not (tmp_path / "deep").exists()
+
+
 def test_load_node_metadata(tmp_path):
     meta = load_node_metadata(_write(tmp_path, "nodes.csv",
                                      "name,hemisphere,lobe\n"
@@ -187,6 +201,8 @@ def test_load_dataset_errors(tmp_path):
         ("subject_id,label,path\ns1,0\n", "malformed row"),
         ("subject_id,label,path\n", "no subjects"),
         ("subject_id,label,path\ns1,0,absent.csv\n", "absent.csv"),
+        ("subject_id,label,path\n" + "x" * 200_000 + ",0,n.csv\n",
+         "line 2: field larger than field limit"),
     ]
     for i, (text, pattern) in enumerate(cases):
         manifest = _write(tmp_path, f"m{i}.csv", text)

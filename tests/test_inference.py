@@ -117,6 +117,18 @@ def test_cohort_validation():
                    subject_ids=("a", "b"), V=4)
 
 
+@pytest.mark.parametrize("A, y, ids, pattern", [
+    ([[0, 3, 0], [1, 0, 1]], [0, 1], ("a", "b"), "edge matrix entries must be 0 or 1"),
+    ([[0, 1, 0], [1, 0, 1]], [0, 2], ("a", "b"), r"labels must be 0 or 1, got \[2\]"),
+    ([[0, 1, 0], [1, 0, 1]], [-1, 1], ("a", "b"), r"labels must be 0 or 1, got \[-1\]"),
+    ([[0, 1, 0], [1, 0, 1]], [0.5, 1], ("a", "b"), r"labels must be 0 or 1, got \[0.5\]"),
+    ([[0, 1, 0], [1, 0, 1]], [0, 1], ("a", "a"), "duplicate subject ids"),
+])
+def test_cohort_data_checks_its_inputs(A, y, ids, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        CohortData(A=np.array(A, dtype=np.float64), y=np.array(y), subject_ids=ids, V=3)
+
+
 # ------------------------------------------------------- assignments
 
 
