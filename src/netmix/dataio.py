@@ -155,13 +155,18 @@ def _read_table(path, header: tuple[str, ...]) -> list[list[str]]:
 
 def _write_table(path, rows, header=None) -> None:
     """Rows (after header, if given) as CSV with "\n" line ends; only cells
-    holding a comma, a quote or a line break are quoted."""
+    holding a comma, a quote or a line break are quoted. A cell holding a
+    carriage return raises DataFormatError: _read_text turns it into "\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header is not None:
         writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    text = buf.getvalue()
+    if "\r" in text:
+        raise DataFormatError(f"{path}: a cell holds a carriage return, "
+                              "which cannot be read back")
+    atomic_write_text(path, text)
 
 
 def _content_lines(path) -> list[str]:
@@ -281,13 +286,20 @@ def write_dataset(out_dir, observations) -> Path:
     """Write adjacency CSVs and a manifest for a simulated cohort.
 
     Returns the manifest path. Files land in out_dir/networks/<id>.csv;
-    empty ids and ids with a '..' component are rejected up front.
+    empty ids, ids with a '..' component or a line break, and duplicate ids
+    are rejected up front.
     """
     out_dir = Path(out_dir)
     observations = list(observations)
+    seen = set()
     for sid in (str(obs.subject_id) for obs in observations):
         if not sid or ".." in sid.split("/"):
             raise DataFormatError(f"subject id {sid!r} is empty or has a '..' component")
+        if "\r" in sid or "\n" in sid:
+            raise DataFormatError(f"subject id {sid!r} holds a line break")
+        if sid in seen:
+            raise DataFormatError(f"duplicate subject id {sid!r}")
+        seen.add(sid)
     rows = []
     for obs in observations:
         rel = f"networks/{obs.subject_id}.csv"

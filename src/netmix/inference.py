@@ -225,8 +225,10 @@ def update_omega(S: np.ndarray, assignments: np.ndarray,
     return its per-component sums W (H, L), W_h = sum_{i: G_i = h} omega_i.
 
     The tilts take only the H L distinct values of S, so the sampler gets S
-    and the assignments and gathers its per-tilt tables itself; the n L
-    draws are still one exact PG(1, .) variable per (subject, edge)."""
+    and the assignments, tables only the occupied components' tilts and
+    gathers those tables itself; the n L draws are still one exact
+    PG(1, .) variable per (subject, edge), accepted by the series test in
+    ratio form."""
     return _component_sums(polya_gamma(S, rng, assignments), assignments,
                            S.shape[0])
 

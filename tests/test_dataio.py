@@ -183,6 +183,32 @@ def test_write_dataset_keeps_files_inside_out_dir(tmp_path):
         assert not (tmp_path / "deep").exists()
 
 
+def test_write_dataset_rejects_duplicate_and_line_break_ids(tmp_path):
+    obs = _toy_observations()
+    out = tmp_path / "out"
+    for bad, pattern in [(obs[1], "duplicate subject id 'sub01'"),
+                         (replace(obs[0], subject_id="a\rb"), "line break"),
+                         (replace(obs[0], subject_id="a\nb"), "line break")]:
+        with pytest.raises(DataFormatError, match=pattern):
+            write_dataset(out, [*obs, bad])
+        assert not out.exists()
+
+
+def test_tables_reject_carriage_returns(tmp_path):
+    # the reader turns "\r" into "\n", so such a cell cannot round-trip
+    result = ClassificationResult(
+        subject_ids=("s1", "a\rb"), labels=np.array([0, 1]),
+        probabilities=np.array([0.125, 0.875]),
+        predicted=np.array([0, 1], dtype=np.int8))
+    meta = (NodeMetadata("pre\rcentral", "L", "x"), NodeMetadata("b", "R", "x"))
+    for path, write in [(tmp_path / "pred.csv", lambda p: write_predictions(result, p)),
+                        (tmp_path / "deg.csv",
+                         lambda p: write_degree_table(np.array([1, 2]), p, meta))]:
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: a cell holds")):
+            write(path)
+        assert not path.exists()
+
+
 def test_load_node_metadata(tmp_path):
     meta = load_node_metadata(_write(tmp_path, "nodes.csv",
                                      "name,hemisphere,lobe\n"

@@ -139,3 +139,92 @@ def test_rows_draw_rejects_non_finite_tilt_anywhere(small_blocks, bad):
     S[2, 7] = bad  # component 2 is not drawn from
     with pytest.raises(ValueError):
         polya_gamma(S, np.random.default_rng(0), np.array([0, 1, 1, 0]))
+
+
+# ------------------------------------- the series test as first written
+
+
+def _series_coef(n, x):
+    """n-th coefficient a_n(x) of the alternating series for J*(1, 0)."""
+    k = (n + 0.5) * np.pi
+    right = k * np.exp(-0.5 * k * k * x)
+    with np.errstate(divide="ignore"):
+        left = np.exp(-1.5 * (np.log(0.5 * np.pi) + np.log(x))
+                      + np.log(k) - 2.0 * (n + 0.5) ** 2 / x)
+    return np.where(x > pg._T, right, left)
+
+
+def _reference_block(z, fz, p_exp, rng):
+    """One block with y = U a_0 tested against the partial sums S_n."""
+    draws = np.empty_like(z)
+    pending = np.arange(z.size)
+    while pending.size:
+        m = pending.size
+        use_exp = rng.random(m) < p_exp[pending]
+        prop = np.empty(m)
+        n_exp = int(use_exp.sum())
+        if n_exp:
+            prop[use_exp] = pg._T + rng.standard_exponential(n_exp) / fz[pending[use_exp]]
+        if m - n_exp:
+            prop[~use_exp] = pg._rtigauss(z[pending][~use_exp], rng)
+        s = _series_coef(0, prop)
+        y = rng.random(m) * s
+        accepted = np.zeros(m, dtype=bool)
+        active = np.arange(m)
+        n = 1
+        while active.size:
+            coef = _series_coef(n, prop[active])
+            if n & 1:
+                s[active] -= coef
+                acc = y[active] <= s[active]
+                accepted[active[acc]] = True
+                active = active[~acc]
+            else:
+                s[active] += coef
+                active = active[y[active] <= s[active]]
+            n += 1
+        draws[pending[accepted]] = prop[accepted]
+        pending = pending[~accepted]
+    return draws
+
+
+def reference_polya_gamma(c, rng):
+    """PG(1, c) draws, tables for every row of c, blocks of whole rows."""
+    c = np.asarray(c, dtype=np.float64)
+    c2 = c.reshape(c.shape[0], -1)
+    z = 0.5 * np.abs(c2)
+    fz = 0.125 * np.pi ** 2 + 0.5 * z * z
+    p_exp = pg._exp_branch_prob(z, fz)
+    step = max(1, pg._BLOCK_ENTRIES // c2.shape[1])
+    out = [_reference_block(z[i:i + step].ravel(), fz[i:i + step].ravel(),
+                            p_exp[i:i + step].ravel(), rng)
+           for i in range(0, c2.shape[0], step)]
+    return 0.25 * np.concatenate(out).reshape(c.shape)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-8, -1e-8, 0.5, 1.0, 2.5, 10.0, 40.0,
+                               700.0])
+def test_draws_equal_the_reference_series_test(monkeypatch, c):
+    # 20,000 draws in blocks of 4,096 entries; at small tilts a few in
+    # 10,000 decisions need more than the first series term
+    monkeypatch.setattr(pg, "_BLOCK_ENTRIES", 2**12)
+    plain = np.full(20_000, c)
+    assert np.array_equal(polya_gamma(plain, np.random.default_rng(31)),
+                          reference_polya_gamma(plain, np.random.default_rng(31)))
+    # rows 1 and 3 are never drawn from; rows of 50 entries, 81 per block
+    S = np.stack([np.full(50, c), np.full(50, 3.0), np.full(50, -c),
+                  np.full(50, 1e300)])
+    rows = np.random.default_rng(33).choice([0, 2], 400)
+    assert np.array_equal(polya_gamma(S, np.random.default_rng(32), rows),
+                          reference_polya_gamma(S[rows], np.random.default_rng(32)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-300, 1e154, 1e200, 1e300,
+                               np.finfo(np.float64).max])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_extreme_tilts(c, sign):
+    draws = polya_gamma(np.full(20_000, sign * c), np.random.default_rng(8))
+    assert np.isfinite(draws).all() and (draws > 0).all()
+    se = draws.std() / np.sqrt(draws.size)
+    assert abs(draws.mean() - np.tanh(c / 2) / 2 / c) < 4 * se + 1e-12 * draws.mean()
