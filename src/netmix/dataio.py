@@ -13,7 +13,11 @@ Formats:
   draws archive    custom binary container (magic, version, JSON header,
                    raw arrays). np.savez is avoided on purpose: zip
                    embeds timestamps and would break byte-identical
-                   reruns.
+                   reruns. Version 2 stores Z, X, theta, nu, pY1, T,
+                   assignments and the log-joint trace; lam is derived
+                   from theta. Version 1 archives, which also stored lam
+                   after X, still load: their lam must equal the one
+                   derived from their theta and is then dropped.
 
 CSV tables are read by _read_table and written by _write_table, both on
 the csv module. All writers go through an atomic temp-file + rename and
@@ -31,9 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NetworkObservation, edge_index_map, matricize
+from .core import _SIMPLEX_TOL, NetworkObservation, edge_index_map, matricize
 from .core import vectorize as vectorize_adjacency
 from .inference import PosteriorDraws
+from .priors import lam_from_theta
 from .testing import ClassificationResult, TestReport
 
 __all__ = [
@@ -357,9 +362,14 @@ def parse_config(path) -> dict:
 # draws archive
 
 _MAGIC = b"NMXDRAWS"
-_VERSION = 1
-_ARRAY_ORDER = ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
-                "log_joint_trace")
+_VERSION = 2
+# the arrays of each archive version, in file order
+_LAYOUTS = {
+    1: ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
+        "log_joint_trace"),
+    2: ("Z", "X", "theta", "nu", "pY1", "T", "assignments", "log_joint_trace"),
+}
+_ARRAY_ORDER = _LAYOUTS[_VERSION]
 
 
 def save_draws(draws: PosteriorDraws, path) -> None:
@@ -403,7 +413,7 @@ def _read_header(fh, path) -> tuple[dict, list]:
         raise ArchiveError(f"{path}: not a draws archive")
     off = len(_MAGIC)
     version = int(np.frombuffer(start, np.uint32, 1, off)[0])
-    if version != _VERSION:
+    if version not in _LAYOUTS:
         raise ArchiveError(f"{path}: unsupported archive version {version}")
     hlen = int(np.frombuffer(start, np.uint64, 1, off + 4)[0])
     off += 12 + hlen
@@ -419,7 +429,7 @@ def _read_header(fh, path) -> tuple[dict, list]:
         raise ArchiveError(f"{path}: header needs an 'arrays' list and a 'meta' object")
     listed = [spec.get("name") if isinstance(spec, dict) else None
               for spec in header["arrays"]]
-    if listed != list(_ARRAY_ORDER):
+    if listed != list(_LAYOUTS[version]):
         raise ArchiveError(f"{path}: unexpected archive contents {listed}")
     specs = []
     for spec in header["arrays"]:
@@ -442,23 +452,83 @@ def _read_header(fh, path) -> tuple[dict, list]:
     return header["meta"], specs
 
 
+def _read_arrays(fh, path, specs, names=None) -> dict:
+    """The arrays of specs (all, or those in names) of an archive whose
+    first array starts at fh's position."""
+    fields, off = {}, fh.tell()
+    for name, dtype, shape in specs:
+        nbytes = math.prod(shape) * dtype.itemsize
+        if names is None or name in names:
+            fh.seek(off)
+            buf = bytearray(nbytes)
+            if fh.readinto(buf) != nbytes:
+                raise ArchiveError(f"{path}: truncated array {name!r}")
+            fields[name] = np.frombuffer(buf, dtype).reshape(shape)
+        off += nbytes
+    return fields
+
+
+def _drop_stored_lam(path, fields: dict) -> None:
+    """Remove the lam a version 1 archive stored, which must equal the lam
+    derived from its theta bit for bit."""
+    lam = fields.pop("lam", None)
+    with np.errstate(all="ignore"):
+        if lam is not None and not np.array_equal(
+                lam, lam_from_theta(fields["theta"])):
+            raise ArchiveError(f"{path}: array 'lam' is not cumprod(1/theta) "
+                               "of the stored theta")
+
+
+def _check_draw_values(path, fields: dict) -> None:
+    """Reject values that no draw can hold, so that params_at builds every
+    draw and no NaN reaches an artifact."""
+    theta, nu, pY1, T, G = (fields[name] for name in
+                            ("theta", "nu", "pY1", "T", "assignments"))
+    H = theta.shape[1]
+    with np.errstate(all="ignore"):
+        checks = (
+            ("Z", "must be finite", np.isfinite(fields["Z"]).all()),
+            ("X", "must be finite", np.isfinite(fields["X"]).all()),
+            ("theta", "must be positive and give a finite lam",
+             (theta > 0).all() and np.isfinite(lam_from_theta(theta)).all()),
+            ("nu", f"rows must be probability vectors (sums within "
+                   f"{_SIMPLEX_TOL:g} of 1)",
+             (nu >= 0).all() and np.isfinite(nu).all()
+             and (np.abs(nu.sum(axis=2) - 1.0) <= _SIMPLEX_TOL).all()),
+            ("T", "must be 0 or 1", ((T == 0) | (T == 1)).all()),
+            ("nu", "rows must be equal where T = 0",
+             (nu[T == 0, 0] == nu[T == 0, 1]).all()),
+            ("pY1", "must lie in (0, 1)", ((pY1 > 0) & (pY1 < 1)).all()),
+            ("assignments", f"must lie in 0..{H - 1}", ((G >= 0) & (G < H)).all()),
+            ("log_joint_trace", "must be finite",
+             np.isfinite(fields["log_joint_trace"]).all()),
+        )
+    for name, what, ok in checks:
+        if not ok:
+            raise ArchiveError(f"{path}: array {name!r} {what}")
+
+
 def load_draws_meta(path) -> dict:
-    """The meta dict of a draws archive, from its header alone. Rejects
-    the same malformed archives as load_draws but reads no array."""
+    """The meta dict of a draws archive. Rejects the same malformed headers
+    as load_draws and reads no array, except that a version 1 archive's
+    theta and lam are read to check lam; array values are checked by
+    load_draws only."""
     with _open_archive(path) as fh:
-        return _read_header(fh, path)[0]
+        meta, specs = _read_header(fh, path)
+        if any(name == "lam" for name, _, _ in specs):
+            _drop_stored_lam(path, _read_arrays(fh, path, specs, ("lam", "theta")))
+    return meta
 
 
 def load_draws(path) -> PosteriorDraws:
-    """Read a draws archive; malformed archives raise ArchiveError."""
+    """Read a draws archive of either version; malformed archives,
+    including ones holding a draw that params_at would reject, raise
+    ArchiveError."""
     with _open_archive(path) as fh:
         meta, specs = _read_header(fh, path)
-        fields = {}
-        for name, dtype, shape in specs:
-            buf = bytearray(math.prod(shape) * dtype.itemsize)
-            if fh.readinto(buf) != len(buf):
-                raise ArchiveError(f"{path}: truncated array {name!r}")
-            fields[name] = np.frombuffer(buf, dtype).reshape(shape)
+        fields = _read_arrays(fh, path, specs)
+    _check_draw_values(path, fields)
+    _drop_stored_lam(path, fields)
     return PosteriorDraws(meta=meta, **fields)
 
 
@@ -477,7 +547,7 @@ def _check_draw_shapes(path, shapes: dict, meta: dict) -> None:
                 "assignments": (K, dims["n"]),
                 "log_joint_trace": (math.prod(shapes["log_joint_trace"]),)}
     for name, shape in expected.items():
-        if shapes[name] != shape:
+        if shapes.get(name, shape) != shape:
             raise ArchiveError(f"{path}: array {name!r} has shape "
                                f"{shapes[name]}, expected {shape}")
     bad = {key: meta[key] for key, value in dims.items() if meta.get(key, value) != value}
@@ -527,11 +597,12 @@ def _fmt(x: float) -> str:
 
 def write_draws_table(draws: PosteriorDraws, path) -> None:
     """Per-draw CSV of pY1, T, both groups' mixing weights and lam."""
-    H, R = draws.lam.shape[1:]
+    lam = draws.lam
+    H, R = lam.shape[1:]
     header = ["draw", "pY1", "T", *(f"nu{y}_{h + 1}" for y in (0, 1) for h in range(H)),
               *(f"lam_{h + 1}_{r + 1}" for h in range(H) for r in range(R))]
     rows = ([k + 1, _fmt(draws.pY1[k]), int(draws.T[k]),
-             *map(_fmt, draws.nu[k].ravel()), *map(_fmt, draws.lam[k].ravel())]
+             *map(_fmt, draws.nu[k].ravel()), *map(_fmt, lam[k].ravel())]
             for k in range(draws.n_draws))
     _write_table(path, rows, header)
 

@@ -18,7 +18,9 @@ independent, so the factor block is batched across components: one
 stacked (H, R, R) Cholesky factorization per node in a sequential node
 scan, then the column-swap and theta scans on all components at once.
 The sweep runs on plain arrays (AugmentedState); parameter objects are
-built only at the boundaries.
+built only at the boundaries. The state carries the subjects' (n, H)
+log-likelihoods under S, computed once per sweep: the next sweep's
+assignment draw and the log joint of the trace both read them.
 
 All randomness flows through one Generator in a fixed order, so a seeded
 run is reproducible bit for bit.
@@ -34,7 +36,7 @@ from .core import (MixtureParameters, NetworkObservation, _categorical,
                    _component_log_liks, _deviations, _is_binary, edge_index_map)
 from .pg import polya_gamma
 from .priors import (HyperParameters, _draw_weights_and_T, _theta_shapes,
-                     log_prior_from_arrays, sample_prior)
+                     lam_from_theta, log_prior_from_arrays, sample_prior)
 
 __all__ = [
     "SamplerConfig",
@@ -161,8 +163,11 @@ def as_cohort(data) -> CohortData:
 class AugmentedState:
     """Everything the sweep conditions on: Z (L,), scaled factors
     Xbar (H, V, R), shrinkage auxiliaries theta (H, R) with lambda =
-    cumprod(1/theta) row-wise, weights nu (2, H), pY1, T, assignments (n,)
-    in 0..H-1, and the deviations D (H, L) of Xbar, so S = Z + D."""
+    lam_from_theta(theta), weights nu (2, H), pY1, T, assignments (n,)
+    in 0..H-1, the deviations D (H, L) of Xbar, so S = Z + D, and the
+    log-likelihoods LL (n, H) = _component_log_liks(S, A) of the cohort's
+    edge rows A. LL belongs to that cohort: a state moved to other data
+    needs it recomputed."""
 
     Z: np.ndarray
     Xbar: np.ndarray
@@ -172,20 +177,23 @@ class AugmentedState:
     T: int
     assignments: np.ndarray
     D: np.ndarray
+    LL: np.ndarray
 
     @classmethod
     def from_params(cls, params: MixtureParameters, theta: np.ndarray,
-                    assignments: np.ndarray) -> "AugmentedState":
-        """State of a parameter object; theta is taken as given."""
+                    assignments: np.ndarray, A: np.ndarray) -> "AugmentedState":
+        """State of a parameter object scored on edge rows A (n, L); theta
+        is taken as given."""
         Xbar = params.X * np.sqrt(params.lam)[:, None, :]
+        D = _deviations(Xbar, Xbar)
         return cls(params.Z.copy(), Xbar, np.array(theta, dtype=np.float64),
                    params.nu, params.pY1, params.T,
-                   np.asarray(assignments, dtype=np.int64),
-                   _deviations(Xbar, Xbar))
+                   np.asarray(assignments, dtype=np.int64), D,
+                   _component_log_liks(params.Z + D, A))
 
     @property
     def lam(self) -> np.ndarray:
-        return np.cumprod(1.0 / self.theta, axis=1)
+        return lam_from_theta(self.theta)
 
     @property
     def X(self) -> np.ndarray:
@@ -197,14 +205,15 @@ class AugmentedState:
                                  pY1=self.pY1, T=self.T)
 
 
-def update_assignments(S: np.ndarray, nu: np.ndarray, cohort: CohortData,
+def update_assignments(LL: np.ndarray, nu: np.ndarray, cohort: CohortData,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw assignments from Pr(G_i = h) proportional to nu_{y_i,h} times
-    the Bernoulli likelihood of subject i under similarities S_h. Rows are
-    only max-shifted before exp: _categorical normalizes them itself."""
+    the Bernoulli likelihood exp(LL_ih) of subject i under component h, LL
+    being the state's (n, H) log-likelihoods. Rows are only max-shifted
+    before exp: _categorical normalizes them itself."""
     with np.errstate(divide="ignore"):
         lognu = np.log(nu)
-    logpost = _component_log_liks(S, cohort.A) + lognu[cohort.y]
+    logpost = LL + lognu[cohort.y]
     logpost -= logpost.max(axis=1, keepdims=True)
     return _categorical(np.exp(logpost), rng.random(cohort.n))
 
@@ -275,7 +284,7 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
 
     Xbar, theta = Xbar.copy(), theta.copy()
-    lam = np.cumprod(1.0 / theta, axis=1)
+    lam = lam_from_theta(theta)
     prior_prec = np.zeros((H, R, R))
     prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam
     noise = rng.standard_normal((V, H, R, 1))
@@ -331,28 +340,28 @@ def update_pY(cohort: CohortData, hyper: HyperParameters,
 
 def gibbs_sweep(state: AugmentedState, cohort: CohortData, hyper: HyperParameters,
                 rng: np.random.Generator) -> AugmentedState:
-    """One full systematic scan; returns a new state."""
-    S = state.Z + state.D
-    G = update_assignments(S, state.nu, cohort, rng)
-    W = update_omega(S, G, rng)
+    """One full systematic scan; returns a new state, scored on cohort."""
+    G = update_assignments(state.LL, state.nu, cohort, rng)
+    W = update_omega(state.Z + state.D, G, rng)
     Z = update_Z(state.D, W, cohort, hyper, rng)
     Xbar, theta = update_factors(state.Xbar, state.theta, Z, W, G, cohort,
                                  hyper, rng)
     nu, T = update_weights_and_T(G, cohort, hyper, rng)
     pY1 = update_pY(cohort, hyper, rng)
+    D = _deviations(Xbar, Xbar)
     return AugmentedState(Z=Z, Xbar=Xbar, theta=theta, nu=nu,
-                          pY1=pY1, T=T, assignments=G,
-                          D=_deviations(Xbar, Xbar))
+                          pY1=pY1, T=T, assignments=G, D=D,
+                          LL=_component_log_liks(Z + D, cohort.A))
 
 
 def log_joint(state: AugmentedState, cohort: CohortData,
               hyper: HyperParameters) -> float:
     """Complete-data log joint of (params, assignments, labels, networks),
-    with omega marginalized out. Used for the convergence trace."""
+    with omega marginalized out, the likelihood read from state.LL. Used
+    for the convergence trace."""
     lp = log_prior_from_arrays(state.Z, state.X, state.theta, state.nu,
                                state.pY1, state.T, hyper)
-    loglik = _component_log_liks(state.Z + state.D, cohort.A)
-    lp += float(loglik[np.arange(cohort.n), state.assignments].sum())
+    lp += float(state.LL[np.arange(cohort.n), state.assignments].sum())
     picked = state.nu[cohort.y, state.assignments]
     with np.errstate(divide="ignore"):
         lp += float(np.log(picked).sum())
@@ -366,14 +375,15 @@ class PosteriorDraws:
     """Thinned post-burn-in draws, stacked along axis 0.
 
     nu has shape (K, 2, H) with group index first; assignments are stored
-    0-based. Edge probabilities are recomputed from Z, X and lam when
-    needed. meta carries the dimensions, hyperparameters, sampler
-    configuration, and the cohort checksum.
+    0-based. lam is not stored: the property derives the (K, H, R) stack
+    from theta on each access, so per-draw readers slice theta instead.
+    Edge probabilities are recomputed from Z, X and lam when needed. meta
+    carries the dimensions, hyperparameters, sampler configuration, and
+    the cohort checksum.
     """
 
     Z: np.ndarray
     X: np.ndarray
-    lam: np.ndarray
     theta: np.ndarray
     nu: np.ndarray
     pY1: np.ndarray
@@ -386,9 +396,14 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return self.Z.shape[0]
 
+    @property
+    def lam(self) -> np.ndarray:
+        return lam_from_theta(self.theta)
+
     def params_at(self, k: int) -> MixtureParameters:
         """Rebuild the validated parameter object for draw k."""
-        return MixtureParameters(Z=self.Z[k], X=self.X[k], lam=self.lam[k],
+        return MixtureParameters(Z=self.Z[k], X=self.X[k],
+                                 lam=lam_from_theta(self.theta[k]),
                                  nu=self.nu[k], pY1=float(self.pY1[k]),
                                  T=int(self.T[k]))
 
@@ -408,14 +423,13 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
     rng = np.random.default_rng(config.seed)
     params, theta = sample_prior(hyper, rng)
     G = _categorical(params.nu[cohort.y], rng.random(cohort.n))
-    state = AugmentedState.from_params(params, theta, G)
+    state = AugmentedState.from_params(params, theta, G, cohort.A)
 
     K = config.n_draws
     V, R, H, L, n = hyper.V, hyper.R, hyper.H, hyper.L, cohort.n
     out = PosteriorDraws(
         Z=np.empty((K, L)),
         X=np.empty((K, H, V, R)),
-        lam=np.empty((K, H, R)),
         theta=np.empty((K, H, R)),
         nu=np.empty((K, 2, H)),
         pY1=np.empty(K),
@@ -444,7 +458,7 @@ def run_chain(data, hyper: HyperParameters, config: SamplerConfig) -> PosteriorD
                 f"mixing weights to exact zeros")
         out.log_joint_trace[it - 1] = lj
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            for name in ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments"):
+            for name in ("Z", "X", "theta", "nu", "pY1", "T", "assignments"):
                 getattr(out, name)[k] = getattr(state, name)
             k += 1
     assert k == K

@@ -19,6 +19,7 @@ from .core import MixtureParameters, edge_count
 
 __all__ = [
     "HyperParameters",
+    "lam_from_theta",
     "sample_prior",
     "log_prior_density",
     "log_prior_from_arrays",
@@ -73,12 +74,18 @@ def _theta_shapes(hyper: HyperParameters) -> np.ndarray:
     return shapes
 
 
+def lam_from_theta(theta: np.ndarray) -> np.ndarray:
+    """Column weights lambda = cumprod(1/theta) along the last axis of
+    theta (..., R); the one definition every module derives lambda by."""
+    return np.cumprod(1.0 / theta, axis=-1)
+
+
 def sample_prior(hyper: HyperParameters,
                  rng: np.random.Generator) -> tuple[MixtureParameters, np.ndarray]:
     """Draw (parameters, theta) from the prior.
 
     theta is the (H, R) array of multiplicative inverse gamma auxiliaries;
-    lambda(h) = cumprod(1/theta(h)) row-wise. Draw order is fixed
+    lambda = lam_from_theta(theta). Draw order is fixed
     (pY1, Z, theta, X, T, weights) so a seeded generator
     reproduces byte-identical results.
     """
@@ -86,10 +93,10 @@ def sample_prior(hyper: HyperParameters,
     Z = rng.normal(hyper.z_mean, np.sqrt(hyper.z_var), hyper.L)
     shapes = _theta_shapes(hyper)
     theta = rng.gamma(shape=shapes, scale=1.0, size=(hyper.H, hyper.R))
-    lam = np.cumprod(1.0 / theta, axis=1)
     X = rng.standard_normal((hyper.H, hyper.V, hyper.R))
     nu, T = _draw_weights_and_T(np.zeros((2, hyper.H)), hyper, rng)
-    params = MixtureParameters(Z=Z, X=X, lam=lam, nu=nu, pY1=pY1, T=T)
+    params = MixtureParameters(Z=Z, X=X, lam=lam_from_theta(theta), nu=nu,
+                               pY1=pY1, T=T)
     return params, theta
 
 
@@ -158,7 +165,7 @@ def log_prior_density(params: MixtureParameters, theta: np.ndarray,
     """Joint log prior density of a full parameter state.
 
     theta must be consistent with the stored lambda values
-    (lambda(h) = cumprod(1/theta(h)) within 1e-8 relative tolerance);
+    (lambda = lam_from_theta(theta) within 1e-8 relative tolerance);
     inconsistent pairs raise because they do not identify a single state.
     """
     if params.V != hyper.V or params.H != hyper.H or params.R != hyper.R:
@@ -168,8 +175,7 @@ def log_prior_density(params: MixtureParameters, theta: np.ndarray,
         raise ValueError(f"theta must be (H, R)={hyper.H, hyper.R}")
     if (theta <= 0.0).any():
         raise ValueError("theta entries must be positive")
-    lam = np.cumprod(1.0 / theta, axis=1)
-    if not np.allclose(params.lam, lam, rtol=1e-8, atol=1e-12):
+    if not np.allclose(params.lam, lam_from_theta(theta), rtol=1e-8, atol=1e-12):
         raise ValueError("lambda inconsistent with cumprod(1/theta)")
 
     return log_prior_from_arrays(params.Z, params.X, theta, params.nu,

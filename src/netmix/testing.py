@@ -18,6 +18,7 @@ from scipy.special import expit, logit
 from .core import (MixtureParameters, _component_log_liks, _deviations,
                    _log_mixture, edge_index_map, logistic_map, node_count)
 from .inference import PosteriorDraws, as_cohort
+from .priors import lam_from_theta
 
 __all__ = [
     "TestReport",
@@ -166,7 +167,7 @@ def _edge_log_odds_blocks(draws: PosteriorDraws):
     step = max(1, _BLOCK_BYTES // (8 * H * V * V))
     for sl in (slice(i, i + step) for i in range(0, K, step)):
         X = draws.X[sl]
-        S = _deviations(X * draws.lam[sl][:, :, None, :], X)
+        S = _deviations(X * lam_from_theta(draws.theta[sl])[:, :, None, :], X)
         S += draws.Z[sl][:, None, :]
         yield sl, S
 

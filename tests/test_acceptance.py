@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from netmix.cli import run_cli
-from netmix.core import (component_log_pmf, conditional_log_pmf,
-                         joint_log_pmf, marginal_log_pmf, sample_cohort,
-                         sample_joint_cohort)
+from netmix.core import (_component_log_liks, component_log_pmf,
+                         conditional_log_pmf, joint_log_pmf, marginal_log_pmf,
+                         sample_cohort, sample_joint_cohort)
 from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
                               gibbs_sweep, run_chain)
 from netmix.oracle import enumerate_pmf, exact_cramers_v
@@ -103,14 +103,16 @@ def test_criterion_3_geweke_prior_recovery(criterion):
     params, theta = sample_prior(hyper, rng)
     obs, G = sample_joint_cohort(params, n, rng)
     cohort = CohortData.from_observations(obs)
-    state = AugmentedState.from_params(params, theta, G)
+    state = AugmentedState.from_params(params, theta, G, cohort.A)
     rec = np.empty((cycles, 3))
     for i in range(cycles):
         state = gibbs_sweep(state, cohort, hyper, rng)
         rec[i] = (state.pY1, state.Z.mean(), state.T)
         obs, G = sample_joint_cohort(state.to_params(), n, rng)
         cohort = CohortData.from_observations(obs)
-        state = replace(state, assignments=np.asarray(G, dtype=np.int64))
+        # the redrawn networks need the state's likelihoods rescored
+        state = replace(state, assignments=np.asarray(G, dtype=np.int64),
+                        LL=_component_log_liks(state.Z + state.D, cohort.A))
     elapsed = time.perf_counter() - t0
     targets = (0.5, hyper.z_mean, hyper.prior_T1)
     zs = []
@@ -252,9 +254,10 @@ def test_criterion_9_rank_recovery(criterion):
                       SamplerConfig(n_iter=2000, burn_in=1000, thin=2,
                                     seed=12))
     ratios = np.empty(draws.n_draws)
+    lams = draws.lam
     for k in range(draws.n_draws):
         counts = np.bincount(draws.assignments[k], minlength=2)
-        lam = draws.lam[k, int(np.argmax(counts))]
+        lam = lams[k, int(np.argmax(counts))]
         ratios[k] = lam[1] / lam[0]
     mean_ratio = float(ratios.mean())
     criterion(9, mean_ratio < 0.1,

@@ -2,12 +2,13 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netmix.cli import run_cli
-from netmix.core import NetworkObservation
+from netmix.core import NetworkObservation, sample_cohort
 from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
                            NodeMetadata, atomic_write_text,
                            load_classification, load_dataset, load_draws,
@@ -17,8 +18,11 @@ from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
                            save_test_report, write_dataset, write_degree_table,
                            write_difference_matrix, write_edge_table,
                            write_predictions)
-from netmix.inference import PosteriorDraws
-from netmix.testing import ClassificationResult, TestReport
+from netmix.inference import PosteriorDraws, SamplerConfig, run_chain
+from netmix.priors import HyperParameters
+from netmix.synthetic import shifted_mixture_truth
+from netmix.testing import (ClassificationResult, TestReport, classify,
+                            compute_test_report)
 
 # ----------------------------------------------------------- helpers
 
@@ -34,8 +38,7 @@ def _small_draws(seed=0):
     return PosteriorDraws(
         Z=rng.standard_normal((2, 6)),
         X=rng.standard_normal((2, 2, 4, 1)),
-        lam=np.abs(rng.standard_normal((2, 2, 1))),
-        theta=np.abs(rng.standard_normal((2, 2, 1))) + 0.5,
+        theta=1.0 / np.abs(rng.standard_normal((2, 2, 1))),
         nu=np.full((2, 2, 2), 0.5),
         pY1=np.array([0.4, 0.6]),
         T=np.array([0, 1], dtype=np.int8),
@@ -305,7 +308,7 @@ def test_draws_round_trip(tmp_path):
     path = tmp_path / "draws.bin"
     save_draws(draws, path)
     loaded = load_draws(path)
-    for name in ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
+    for name in ("Z", "X", "theta", "nu", "pY1", "T", "assignments",
                  "log_joint_trace"):
         a, b = getattr(draws, name), getattr(loaded, name)
         assert np.array_equal(a, b), name
@@ -346,8 +349,8 @@ def test_draws_archive_corruption(tmp_path):
     _expect_archive_error(tmp_path, b"NOPE", "not a draws archive")
     _expect_archive_error(tmp_path, b"X" * 64, "not a draws archive")
     _expect_archive_error(
-        tmp_path, blob[:8] + np.uint32(2).tobytes() + blob[12:],
-        "unsupported archive version 2")
+        tmp_path, blob[:8] + np.uint32(3).tobytes() + blob[12:],
+        "unsupported archive version 3")
     _expect_archive_error(
         tmp_path, blob[:12] + np.uint64(10**9).tobytes() + blob[20:],
         "truncated archive header")
@@ -389,7 +392,7 @@ def _zero_draws(tmp_path):
     d = _small_draws()
     empty = PosteriorDraws(meta=d.meta, **{
         name: getattr(d, name)[:0] for name in
-        ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
+        ("Z", "X", "theta", "nu", "pY1", "T", "assignments",
          "log_joint_trace")})
     save_draws(empty, tmp_path / "empty.bin")
     return (tmp_path / "empty.bin").read_bytes()
@@ -425,6 +428,129 @@ def test_draws_archive_rejects_malformed_header(tmp_path, capsys, make, pattern)
         assert err.startswith("error:") and err.count("\n") == 1
         assert re.search(pattern, err)
         assert not (tmp_path / "out").exists()
+
+
+def _save_v1(draws, path, lam=None):
+    """draws in the version 1 layout, which also stored lam after X."""
+    if lam is None:
+        with np.errstate(all="ignore"):  # some cases hold theta <= 0
+            lam = draws.lam
+    arrays = {"Z": draws.Z, "X": draws.X, "lam": lam, "theta": draws.theta,
+              "nu": draws.nu, "pY1": draws.pY1, "T": draws.T,
+              "assignments": draws.assignments,
+              "log_joint_trace": draws.log_joint_trace}
+    header = {"arrays": [{"name": name, "dtype": arr.dtype.str,
+                          "shape": list(arr.shape)}
+                         for name, arr in arrays.items()],
+              "meta": draws.meta}
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    Path(path).write_bytes(
+        b"NMXDRAWS" + np.uint32(1).tobytes() + np.uint64(len(hb)).tobytes()
+        + hb + b"".join(np.ascontiguousarray(a).tobytes()
+                        for a in arrays.values()))
+
+
+def _with(name, edit):
+    """_small_draws with a copy of array name changed in place by edit."""
+    def make():
+        d = _small_draws()
+        arr = getattr(d, name).copy()
+        edit(arr)
+        return replace(d, **{name: arr})
+    return make
+
+
+def _set(index, value):
+    def edit(arr):
+        arr[index] = value
+    return edit
+
+
+@pytest.mark.parametrize("make,pattern", [
+    (_with("Z", _set((0, 0), np.nan)), "'Z' must be finite"),
+    (_with("X", _set((1, 0, 2, 0), np.inf)), "'X' must be finite"),
+    (_with("theta", _set((0, 1, 0), 0.0)), "'theta' must be positive"),
+    (_with("theta", _set((1, 0, 0), -2.0)), "'theta' must be positive"),
+    (_with("theta", _set((0, 0, 0), np.nan)), "'theta' must be positive"),
+    (_with("theta", _set((0, 0, 0), 1e-320)), "give a finite lam"),
+    (_with("nu", _set((0, 0, 0), np.nan)), "'nu' rows must be probability"),
+    (_with("nu", _set((1, 1), [0.5, 0.6])), "'nu' rows must be probability"),
+    (_with("nu", _set((1, 0), [-0.5, 1.5])), "'nu' rows must be probability"),
+    (_with("nu", _set(0, [[0.25, 0.75], [0.75, 0.25]])), "equal where T = 0"),
+    (_with("T", _set(1, 2)), "'T' must be 0 or 1"),
+    (_with("pY1", _set(0, 0.0)), r"'pY1' must lie in \(0, 1\)"),
+    (_with("pY1", _set(1, 1.0)), r"'pY1' must lie in \(0, 1\)"),
+    (_with("pY1", _set(1, np.nan)), r"'pY1' must lie in \(0, 1\)"),
+    (_with("assignments", _set((1, 2), 2)), r"'assignments' must lie in 0\.\.1"),
+    (_with("assignments", _set((0, 0), -1)), r"'assignments' must lie in 0\.\.1"),
+    (_with("log_joint_trace", _set(3, -np.inf)), "'log_joint_trace' must be finite"),
+], ids=["Z-nan", "X-inf", "theta-zero", "theta-negative", "theta-nan",
+        "theta-tiny", "nu-nan", "nu-sum", "nu-negative", "nu-untied-at-T0",
+        "T-two", "pY1-zero", "pY1-one", "pY1-nan", "assignment-H",
+        "assignment-negative", "trace-inf"])
+@pytest.mark.parametrize("save", [save_draws, _save_v1], ids=["v2", "v1"])
+def test_draws_archive_rejects_impossible_values(tmp_path, capsys, save, make,
+                                                 pattern):
+    # every one of these would make some params_at(k) raise, and the NaN
+    # ones would otherwise reach test_report.json as invalid JSON
+    save(make(), tmp_path / "bad.bin")
+    with pytest.raises(ArchiveError, match=pattern):
+        load_draws(tmp_path / "bad.bin")
+    assert run_cli(["test", "--archive", str(tmp_path / "bad.bin"),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert re.search(pattern, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    obs = sample_cohort(shifted_mixture_truth(6, seed=1).params, 8, 8,
+                        np.random.default_rng(4))
+    draws = run_chain(obs, HyperParameters(V=6, H=3, R=2),
+                      SamplerConfig(n_iter=30, burn_in=10, thin=2, seed=5))
+    return draws, obs
+
+
+def test_v1_archive_reads_as_v2(tmp_path, fitted):
+    draws, obs = fitted
+    save_draws(draws, tmp_path / "v2.bin")
+    _save_v1(draws, tmp_path / "v1.bin")
+    v1, v2 = load_draws(tmp_path / "v1.bin"), load_draws(tmp_path / "v2.bin")
+    for name in ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
+                 "log_joint_trace"):
+        assert np.array_equal(getattr(v1, name), getattr(draws, name)), name
+        assert np.array_equal(getattr(v2, name), getattr(draws, name)), name
+        assert getattr(v1, name).dtype == getattr(v2, name).dtype, name
+    assert v1.meta == v2.meta == load_draws_meta(tmp_path / "v1.bin")
+    r1, r2 = compute_test_report(v1), compute_test_report(v2)
+    assert r1.pr_H1 == r2.pr_H1
+    for name in ("rho_exceed", "edge_diff", "significant_edges"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
+    assert np.array_equal(classify(v1, obs).probabilities,
+                          classify(v2, obs).probabilities)
+    # v2 drops lam: one (K, H, R) float64 array fewer, and a shorter header
+    saved = (tmp_path / "v1.bin").stat().st_size - (tmp_path / "v2.bin").stat().st_size
+    assert saved > draws.theta.nbytes
+
+
+def test_v1_archive_with_inconsistent_lam_is_rejected(tmp_path, capsys, fitted):
+    draws, _ = fitted
+    lam = draws.lam.copy()
+    lam[-1, -1, -1] = np.nextafter(lam[-1, -1, -1], 1.0)
+    _save_v1(draws, tmp_path / "bad.bin", lam=lam)
+    pattern = r"array 'lam' is not cumprod\(1/theta\)"
+    for load in (load_draws, load_draws_meta):
+        with pytest.raises(ArchiveError, match=pattern):
+            load(tmp_path / "bad.bin")
+    for command in ("test", "report"):
+        assert run_cli([command, "--archive", str(tmp_path / "bad.bin"),
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert re.search(pattern, err)
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------- test report

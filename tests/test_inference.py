@@ -39,9 +39,10 @@ def _two_level_params(p_low, p_high, V, nu0, nu1, T=1, pY1=0.5):
                              nu=np.array([nu0, nu1], float), pY1=pY1, T=T)
 
 
-def _state_for(params, theta, n, assignments=None):
-    G = np.zeros(n) if assignments is None else assignments
-    return AugmentedState.from_params(params, theta, G)
+def _state_for(params, theta, A, assignments=None):
+    """State of params scored on edge rows A (n, L)."""
+    G = np.zeros(A.shape[0]) if assignments is None else assignments
+    return AugmentedState.from_params(params, theta, G, A)
 
 
 def _empty_cohort(V):
@@ -136,8 +137,8 @@ def test_assignments_single_component():
     V = 4
     params = _flat_params(V)
     cohort = _cohort_from_edges(np.eye(6)[:3], [0, 0, 1], V)
-    state = _state_for(params, np.ones((1, 1)), 3)
-    G = update_assignments(state.Z + state.D, state.nu, cohort,
+    state = _state_for(params, np.ones((1, 1)), cohort.A)
+    G = update_assignments(state.LL, state.nu, cohort,
                            np.random.default_rng(1))
     assert np.array_equal(G, np.zeros(3))
 
@@ -145,9 +146,9 @@ def test_assignments_single_component():
 def test_assignments_degenerate_weights():
     params = _two_level_params(0.2, 0.8, 4, [0.0, 1.0], [0.0, 1.0])
     cohort = _cohort_from_edges(np.eye(6)[:4], [0, 1, 0, 1], 4)
-    state = _state_for(params, np.ones((2, 1)), 4)
+    state = _state_for(params, np.ones((2, 1)), cohort.A)
     for seed in range(20):
-        G = update_assignments(state.Z + state.D, state.nu, cohort,
+        G = update_assignments(state.LL, state.nu, cohort,
                                np.random.default_rng(seed))
         assert np.array_equal(G, np.ones(4))
 
@@ -159,13 +160,13 @@ def test_assignments_overwhelming_likelihood():
     rng = np.random.default_rng(3)
     a = (rng.random(params.L) < 0.9).astype(np.float64)
     cohort = _cohort_from_edges([a], [0], V)
-    state = _state_for(params, np.ones((2, 1)), 1)
-    S = state.Z + state.D
-    loglik = _component_log_liks(S, cohort.A)[0] + np.log(0.5)
+    state = _state_for(params, np.ones((2, 1)), cohort.A)
+    loglik = _component_log_liks(state.Z + state.D, cohort.A)[0] + np.log(0.5)
     post = np.exp(loglik - np.logaddexp(loglik[0], loglik[1]))
     assert post[0] > 1.0 - 1e-10
     for seed in range(50):
-        G = update_assignments(S, state.nu, cohort, np.random.default_rng(seed))
+        G = update_assignments(state.LL, state.nu, cohort,
+                               np.random.default_rng(seed))
         assert G[0] == 0
 
 
@@ -176,7 +177,7 @@ def test_omega_zero_tilt_moments():
     V = 4
     params = _flat_params(V)
     cohort = _cohort_from_edges(np.zeros((400, 6)), [0] * 200 + [1] * 200, V)
-    state = _state_for(params, np.ones((1, 1)), 400)
+    state = _state_for(params, np.ones((1, 1)), cohort.A)
     S = state.Z + state.D
     W = update_omega(S, state.assignments, np.random.default_rng(2))
     assert W.shape == (1, 6)
@@ -194,7 +195,7 @@ def test_omega_uses_assigned_component():
     n_half = 300
     cohort = _cohort_from_edges(np.zeros((2 * n_half, 6)),
                                 [0] * n_half + [1] * n_half, 4)
-    state = _state_for(params, np.ones((2, 1)), 2 * n_half,
+    state = _state_for(params, np.ones((2, 1)), cohort.A,
                        assignments=[0] * n_half + [1] * n_half)
     W = update_omega(state.Z + state.D, state.assignments,
                      np.random.default_rng(6))
@@ -207,7 +208,7 @@ def test_omega_uses_assigned_component():
 def test_omega_sums_are_per_component_sums_of_the_draws(monkeypatch):
     params = _two_level_params(0.3, 0.9, 4, [0.5, 0.5], [0.5, 0.5])
     G = np.array([1, 0, 1, 1, 0, 1])
-    state = _state_for(params, np.ones((2, 1)), 6, assignments=G)
+    state = _state_for(params, np.ones((2, 1)), np.zeros((6, 6)), assignments=G)
     drawn = []
     pg = inference.polya_gamma
     monkeypatch.setattr(inference, "polya_gamma",
@@ -228,8 +229,8 @@ def test_omega_sums_are_per_component_sums_of_the_draws(monkeypatch):
 def test_update_Z_no_data_is_prior():
     hyper = HyperParameters(V=4, H=1, R=1, z_mean=0.5, z_var=2.0)
     params = _flat_params(4)
-    state = _state_for(params, np.ones((1, 1)), 0)
     cohort = _empty_cohort(4)
+    state = _state_for(params, np.ones((1, 1)), cohort.A)
     rng = np.random.default_rng(7)
     draws = np.concatenate([update_Z(state.D, np.zeros((1, 6)), cohort,
                                      hyper, rng)
@@ -281,7 +282,7 @@ def test_update_factors_empty_component_is_prior():
     ratio = np.empty(reps)
     for i in range(reps):
         params, theta = sample_prior(hyper, rng)
-        state = _state_for(params, theta, 0)
+        state = _state_for(params, theta, cohort.A)
         Xbar, th = update_factors(state.Xbar, state.theta, state.Z,
                                   np.zeros((1, 6)), state.assignments,
                                   cohort, hyper, rng)
@@ -302,7 +303,8 @@ def test_update_factors_keeps_lam_consistent():
     truth = _two_level_params(0.3, 0.7, 5, [0.5, 0.5], [0.5, 0.5])
     obs = sample_cohort(truth, 5, 5, rng)
     cohort = CohortData.from_observations(obs)
-    state = _state_for(params, theta, 10, assignments=rng.integers(0, 2, 10))
+    state = _state_for(params, theta, cohort.A,
+                       assignments=rng.integers(0, 2, 10))
     W = update_omega(state.Z + state.D, state.assignments, rng)
     before = (state.Xbar.copy(), state.theta.copy())
     Xbar, th = update_factors(state.Xbar, state.theta, state.Z, W,
@@ -404,7 +406,7 @@ def test_update_factors_matches_per_component_reference(V, H, R, n):
     cohort = _cohort_from_edges(A, rng.integers(0, 2, n), V)
     # at paper shape only the first third of the components hold subjects
     G = rng.integers(0, max(1, H // 3), n)
-    state = _state_for(params, theta, n, assignments=G)
+    state = _state_for(params, theta, cohort.A, assignments=G)
     W = update_omega(state.Z + state.D, G, rng)
     Xbar, th = update_factors(state.Xbar, state.theta, state.Z, W, G, cohort,
                               hyper, np.random.default_rng(7))
@@ -431,8 +433,8 @@ def test_sign_flip_does_not_change_downstream_updates():
     assert np.allclose(params.similarities(), flipped.similarities(),
                        atol=1e-12)
     cohort = _cohort_from_edges(np.eye(6)[:2], [0, 1], 4)
-    s_a = _state_for(params, theta, 2)
-    s_b = _state_for(flipped, theta, 2)
+    s_a = _state_for(params, theta, cohort.A)
+    s_b = _state_for(flipped, theta, cohort.A)
     assert np.array_equal(s_a.D, s_b.D)
     om_a = update_omega(s_a.Z + s_a.D, s_a.assignments, np.random.default_rng(4))
     om_b = update_omega(s_b.Z + s_b.D, s_b.assignments, np.random.default_rng(4))
@@ -569,7 +571,7 @@ def test_gibbs_sweep_produces_valid_state():
     cohort, hyper = _small_fit_inputs()
     rng = np.random.default_rng(3)
     params, theta = sample_prior(hyper, rng)
-    state = _state_for(params, theta, cohort.n,
+    state = _state_for(params, theta, cohort.A,
                        assignments=rng.integers(0, 2, cohort.n))
     new = gibbs_sweep(state, cohort, hyper, rng)
     assert new.assignments.shape == (cohort.n,)
@@ -578,8 +580,10 @@ def test_gibbs_sweep_produces_valid_state():
     # D tracks the new factors; the parameter object validates the rest
     # (T=0 draws keep the weights tied)
     again = AugmentedState.from_params(new.to_params(), new.theta,
-                                       new.assignments)
+                                       new.assignments, cohort.A)
     assert np.allclose(again.D, new.D, atol=1e-10)
+    # the carried likelihoods are those of the new state's S
+    assert np.array_equal(new.LL, _component_log_liks(new.Z + new.D, cohort.A))
     assert new.T in (0, 1)
 
 
@@ -604,12 +608,24 @@ def test_run_chain_deterministic():
     config = SamplerConfig(n_iter=40, burn_in=10, thin=2, seed=9)
     a = run_chain(cohort, hyper, config)
     b = run_chain(cohort, hyper, config)
-    for name in ("Z", "X", "lam", "theta", "nu", "pY1", "T", "assignments",
+    for name in ("Z", "X", "theta", "nu", "pY1", "T", "assignments",
                  "log_joint_trace"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     c = run_chain(cohort, hyper, SamplerConfig(n_iter=40, burn_in=10,
                                                thin=2, seed=10))
     assert not np.array_equal(a.Z, c.Z)
+
+
+def test_run_chain_scores_the_subjects_once_per_sweep(monkeypatch):
+    # one evaluation for the initial state, then one per sweep, shared by
+    # that sweep's log joint and the next sweep's assignment draw
+    cohort, hyper = _small_fit_inputs()
+    calls = []
+    score = inference._component_log_liks
+    monkeypatch.setattr(inference, "_component_log_liks",
+                        lambda S, A: calls.append(1) or score(S, A))
+    run_chain(cohort, hyper, SamplerConfig(n_iter=15, burn_in=5, thin=2, seed=2))
+    assert len(calls) == 15 + 1
 
 
 def test_run_chain_rejects_dimension_mismatch():

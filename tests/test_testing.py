@@ -37,13 +37,16 @@ def _tied_params(V=4):
 
 
 def _draws_from_params(params_list, single_group=False):
-    """Hand-packed PosteriorDraws for testing the posterior functionals."""
+    """Hand-packed PosteriorDraws for testing the posterior functionals.
+    The parameters have R = 1, so theta = 1/lam, and theta = inf gives
+    lam = 0."""
     Z = np.stack([p.Z for p in params_list])
     X = np.stack([p.X for p in params_list])
-    lam = np.stack([p.lam for p in params_list])
+    with np.errstate(divide="ignore"):
+        theta = np.stack([1.0 / p.lam for p in params_list])
     nu = np.stack([p.nu for p in params_list])
     return PosteriorDraws(
-        Z=Z, X=X, lam=lam, theta=np.ones_like(lam), nu=nu,
+        Z=Z, X=X, theta=theta, nu=nu,
         pY1=np.array([p.pY1 for p in params_list]),
         T=np.array([p.T for p in params_list], dtype=np.int8),
         assignments=np.zeros((len(params_list), 0), dtype=np.int32),
