@@ -182,14 +182,18 @@ def _cmd_predict(args) -> int:
             dataio.load_dataset(args.new_data)[0])
     try:
         result = classify(draws, cohort)
-        auc, accuracy = evaluate_classifier(result)
+        if cohort.single_group:  # every probability is defined, the AUC is not
+            auc, accuracy = None, float(np.mean(result.predicted == result.labels))
+        else:
+            auc, accuracy = evaluate_classifier(result)
     except ValueError as exc:
         raise NetmixError(str(exc)) from exc
     out = Path(args.out_dir)
     dataio.write_predictions(result, out / "predictions.csv")
     dataio.save_classification(auc, accuracy, cohort.n,
                                out / "classification.json")
-    print(f"predict: n={cohort.n} AUC={auc:.4f} accuracy={accuracy:.4f} "
+    auc_text = "n/a" if auc is None else format(auc, ".4f")
+    print(f"predict: n={cohort.n} AUC={auc_text} accuracy={accuracy:.4f} "
           f"-> {out / 'predictions.csv'}")
     return 0
 

@@ -648,7 +648,8 @@ def write_predictions(result: ClassificationResult, path) -> None:
     _write_table(path, rows, ("subject_id", "label", "prob_group1", "predicted"))
 
 
-def save_classification(auc: float, accuracy: float, n: int, path) -> None:
+def save_classification(auc: float | None, accuracy: float, n: int, path) -> None:
+    """auc is None (null in the file) for a single-group cohort."""
     payload = {"auc": auc, "accuracy": accuracy, "n_subjects": n,
                "threshold": 0.5}
     atomic_write_text(path, json.dumps(payload, sort_keys=True,
@@ -657,7 +658,8 @@ def save_classification(auc: float, accuracy: float, n: int, path) -> None:
 
 def load_classification(path) -> dict:
     """The payload of save_classification; it must be an object with
-    numeric auc, accuracy and n_subjects."""
+    numeric auc (or null, for a single-group cohort), accuracy and
+    n_subjects."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -666,6 +668,8 @@ def load_classification(path) -> dict:
         raise DataFormatError(f"{path}: expected a JSON object")
     for key in ("auc", "accuracy", "n_subjects"):
         value = payload.get(key)
+        if key == "auc" and key in payload and value is None:
+            continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataFormatError(f"{path}: {key!r} must be a number, got {value!r}")
     return payload
@@ -705,11 +709,13 @@ def render_report(fit_meta: dict | None = None,
             "",
         ]
     if classification is not None:
+        auc = ("not available (single-group cohort)" if classification["auc"] is None
+               else _fmt(classification["auc"]))
         lines += [
             "## Classification",
             "",
             f"- subjects scored: {classification.get('n_subjects')}",
-            f"- AUC: {_fmt(classification['auc'])}",
+            f"- AUC: {auc}",
             f"- accuracy at 0.5: {_fmt(classification['accuracy'])}",
             "",
         ]

@@ -22,6 +22,15 @@ temporaries (a few MiB) would go back to the OS and be faulted in again
 on every call. Each block consumes its own uniforms in turn, so results
 are reproducible given a seeded Generator, the input order and the block
 size.
+
+The loop works on index arrays, not boolean masks. The masks that split a
+block between the two proposal branches, and between accepted and
+rejected entries, are close to random, and numpy's masked copy x[mask]
+costs several times what np.flatnonzero, take and fancy assignment cost
+together on such a mask. So each mask is turned into ascending indices
+once, every proposal is written to the output (a rejected one is
+overwritten in a later round), and the pending entries' tables, like the
+small-tilt -z^2/2, are compacted along with them.
 """
 from __future__ import annotations
 
@@ -61,34 +70,33 @@ def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     # small tilt: rejection from the t-truncated chi-like proposal
     idx = np.flatnonzero(z < 1.0 / _T)
+    neg_half_z2 = -0.5 * z.take(idx) ** 2  # compacted along with idx
     rounds = 0
     while idx.size:
-        m = idx.size
-        e1 = rng.standard_exponential(m)
-        e2 = rng.standard_exponential(m)
+        e1, e2 = rng.standard_exponential((2, idx.size))
         valid = e1 * e1 <= 2.0 * e2 / _T
         x = _T / (1.0 + _T * e1) ** 2
-        accept = valid & (rng.random(m) <= np.exp(-0.5 * z[idx] ** 2 * x))
-        out[idx[accept]] = x[accept]
-        idx = idx[~accept]
+        accept = valid & (rng.random(idx.size) <= np.exp(neg_half_z2 * x))
+        out[idx] = x  # a rejected entry is overwritten in a later round
+        keep = np.flatnonzero(~accept)
+        idx, neg_half_z2 = idx.take(keep), neg_half_z2.take(keep)
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("truncated inverse Gaussian sampler stalled")
 
     # larger tilt: sample IG(mu, 1) directly, keep draws inside (0, t]
     idx = np.flatnonzero(z >= 1.0 / _T)
+    mu = 1.0 / z.take(idx)
     rounds = 0
     while idx.size:
-        mu = 1.0 / z[idx]
-        y = rng.standard_normal(idx.size) ** 2
-        muy = mu * y
+        muy = mu * rng.standard_normal(idx.size) ** 2
         x = mu + 0.5 * mu * muy - 0.5 * mu * np.sqrt(4.0 * muy + muy * muy)
         # past _Z_MAX mu * mu underflows, and mu^2 / x equals x in float64
-        flip = (rng.random(idx.size) > mu / (mu + x)) & (mu > 1.0 / _Z_MAX)
-        x = np.where(flip, mu * mu / x, x)
-        accept = x <= _T
-        out[idx[accept]] = x[accept]
-        idx = idx[~accept]
+        flip = np.flatnonzero((rng.random(idx.size) > mu / (mu + x)) & (mu > 1 / _Z_MAX))
+        x[flip] = mu.take(flip) ** 2 / x.take(flip)
+        out[idx] = x
+        keep = np.flatnonzero(x > _T)
+        idx, mu = idx.take(keep), mu.take(keep)
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("truncated inverse Gaussian sampler stalled")
@@ -98,28 +106,27 @@ def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-    """Exact J*(1, z) draws for one block, given its tilt tables."""
+    """Exact J*(1, z) draws for one block, given its tilt tables; after a
+    round the tables keep only the pending entries."""
     draws = np.empty_like(z)
     pending = np.arange(z.size)
     rounds = 0
     while pending.size:
-        m = pending.size
-        zz = z[pending]
-        use_exp = rng.random(m) < p_exp[pending]
-        prop = np.empty(m)
-        n_exp = int(use_exp.sum())
-        if n_exp:
-            prop[use_exp] = _T + rng.standard_exponential(n_exp) / fz[pending[use_exp]]
-        if m - n_exp:
-            prop[~use_exp] = _rtigauss(zz[~use_exp], rng)
+        use_exp = rng.random(z.size) < p_exp
+        exp_idx, ig_idx = np.flatnonzero(use_exp), np.flatnonzero(~use_exp)
+        prop = np.empty_like(z)
+        prop[exp_idx] = _T + rng.standard_exponential(exp_idx.size) / fz.take(exp_idx)
+        prop[ig_idx] = _rtigauss(z.take(ig_idx), rng)
 
         # squeeze via partial sums over a_0: odd terms bound from below
         # (accept), even terms from above (reject), ties accept; k may
         # overflow for x near the smallest float, where the ratio is 1
         with np.errstate(over="ignore"):
-            k = np.where(prop > _T, 0.5 * np.pi ** 2 * prop, 2.0 / prop)
+            k = 2.0 / prop
+            right = np.flatnonzero(prop > _T)
+            k[right] = 0.5 * np.pi ** 2 * prop.take(right)
             s = 1.0 - 3.0 * np.exp(-2.0 * k)
-        u = rng.random(m)
+        u = rng.random(z.size)
         accepted = u <= s
         active = np.flatnonzero(~accepted)
         n = 2
@@ -137,8 +144,9 @@ def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
             if n > _MAX_SERIES_TERMS:  # pragma: no cover
                 raise RuntimeError("alternating series did not resolve")
 
-        draws[pending[accepted]] = prop[accepted]
-        pending = pending[~accepted]
+        draws[pending] = prop  # a rejected entry is overwritten in a later round
+        keep = np.flatnonzero(~accepted)
+        pending, z, fz, p_exp = (a.take(keep) for a in (pending, z, fz, p_exp))
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("rejection sampler stalled")
@@ -154,7 +162,8 @@ def polya_gamma(c: np.ndarray, rng: np.random.Generator,
     and the integer array rows indexes its first axis (say the
     assignments); the result has the shape of c[rows] and equals
     polya_gamma(c[rows], rng) bit for bit under the same seed; the tilt
-    tables are built only for the rows drawn from.
+    tables are built only for the rows drawn from. Rows that are not
+    integers in 0..len(c) - 1 raise ValueError before anything is drawn.
     """
     c = np.asarray(c, dtype=np.float64)
     if not np.isfinite(c).all():
@@ -166,6 +175,8 @@ def polya_gamma(c: np.ndarray, rng: np.random.Generator,
     else:
         shape = np.shape(rows) + c.shape[1:]
         used, rows = np.unique(np.ravel(rows), return_inverse=True)
+        if used.dtype.kind not in "iu" or ((used < 0) | (used >= len(c2))).any():
+            raise ValueError(f"rows must be integers in 0..{len(c2) - 1}")
         c2 = c2[used]
     z = 0.5 * np.abs(c2)
     zt = np.minimum(z, _Z_MAX)

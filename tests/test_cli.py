@@ -361,18 +361,30 @@ def test_predict_checks_manifest_with_new_data(workspace, tmp_path, capsys):
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
-def test_predict_single_group_fails(workspace, tmp_path, capsys):
+def test_predict_single_group_writes_null_auc(workspace, tmp_path, capsys):
+    # held-out subjects all from group 0: every probability is defined and
+    # written, the AUC is not, as test's pr_H1 on a single-group fit
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("scenario = clique\nv = 6\nn0 = 4\nn1 = 0\n"
                    "clique_size = 3\nseed = 3\n")
     assert run_cli(["simulate", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "single")]) == 0
     capsys.readouterr()
+    out = tmp_path / "out"
     assert run_cli(["predict", "--archive", str(workspace["archive"]),
                     "--manifest", str(workspace["manifest"]),
                     "--new-data", str(tmp_path / "single" / "manifest.csv"),
-                    "--out-dir", str(tmp_path / "out")]) == 1
-    assert "both groups" in capsys.readouterr().err
+                    "--out-dir", str(out)]) == 0
+    assert " AUC=n/a accuracy=" in capsys.readouterr().out
+    predictions = _csv_rows(out / "predictions.csv")
+    assert len(predictions) == 5 and {row[1] for row in predictions[1:]} == {"0"}
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in predictions[1:])
+    clf = json.loads((out / "classification.json").read_text())
+    assert clf["auc"] is None and clf["n_subjects"] == 4
+    assert 0.0 <= clf["accuracy"] <= 1.0
+    assert run_cli(["report", "--out-dir", str(out)]) == 0
+    text = (out / "report.md").read_text()
+    assert "- AUC: not available (single-group cohort)" in text
 
 
 # ------------------------------------------------------------- report

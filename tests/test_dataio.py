@@ -660,6 +660,20 @@ def test_save_classification(tmp_path):
     assert load_classification(path) == payload
 
 
+def test_save_classification_single_group(tmp_path):
+    # a single-group cohort has no AUC: null in the file, and only for auc
+    path = tmp_path / "clf.json"
+    save_classification(None, 0.75, 4, path)
+    assert '"auc": null' in path.read_text()
+    payload = load_classification(path)
+    assert payload["auc"] is None and payload["accuracy"] == 0.75
+    text = render_report(classification=payload)
+    assert "- AUC: not available (single-group cohort)" in text
+    path.write_text('{"auc": 0.5, "accuracy": null, "n_subjects": 4}')
+    with pytest.raises(DataFormatError, match="'accuracy' must be a number"):
+        load_classification(path)
+
+
 @pytest.mark.parametrize("text,pattern", [
     ("[1,2]", "JSON object"),
     ('{"n_subjects": 3}', "'auc' must be a number"),

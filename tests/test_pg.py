@@ -154,6 +154,49 @@ def _series_coef(n, x):
     return np.where(x > pg._T, right, left)
 
 
+# the boolean-mask proposal as first written, kept apart from pg so the
+# reference does not check the index-array rewrite against itself
+def _reference_rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized."""
+    out = np.empty_like(z)
+
+    # small tilt: rejection from the t-truncated chi-like proposal
+    idx = np.flatnonzero(z < 1.0 / pg._T)
+    rounds = 0
+    while idx.size:
+        m = idx.size
+        e1 = rng.standard_exponential(m)
+        e2 = rng.standard_exponential(m)
+        valid = e1 * e1 <= 2.0 * e2 / pg._T
+        x = pg._T / (1.0 + pg._T * e1) ** 2
+        accept = valid & (rng.random(m) <= np.exp(-0.5 * z[idx] ** 2 * x))
+        out[idx[accept]] = x[accept]
+        idx = idx[~accept]
+        rounds += 1
+        if rounds > pg._MAX_REJECTION_ROUNDS:  # pragma: no cover
+            raise RuntimeError("truncated inverse Gaussian sampler stalled")
+
+    # larger tilt: sample IG(mu, 1) directly, keep draws inside (0, t]
+    idx = np.flatnonzero(z >= 1.0 / pg._T)
+    rounds = 0
+    while idx.size:
+        mu = 1.0 / z[idx]
+        y = rng.standard_normal(idx.size) ** 2
+        muy = mu * y
+        x = mu + 0.5 * mu * muy - 0.5 * mu * np.sqrt(4.0 * muy + muy * muy)
+        # past _Z_MAX mu * mu underflows, and mu^2 / x equals x in float64
+        flip = (rng.random(idx.size) > mu / (mu + x)) & (mu > 1.0 / pg._Z_MAX)
+        x = np.where(flip, mu * mu / x, x)
+        accept = x <= pg._T
+        out[idx[accept]] = x[accept]
+        idx = idx[~accept]
+        rounds += 1
+        if rounds > pg._MAX_REJECTION_ROUNDS:  # pragma: no cover
+            raise RuntimeError("truncated inverse Gaussian sampler stalled")
+
+    return out
+
+
 def _reference_block(z, fz, p_exp, rng):
     """One block with y = U a_0 tested against the partial sums S_n."""
     draws = np.empty_like(z)
@@ -166,7 +209,7 @@ def _reference_block(z, fz, p_exp, rng):
         if n_exp:
             prop[use_exp] = pg._T + rng.standard_exponential(n_exp) / fz[pending[use_exp]]
         if m - n_exp:
-            prop[~use_exp] = pg._rtigauss(z[pending][~use_exp], rng)
+            prop[~use_exp] = _reference_rtigauss(z[pending][~use_exp], rng)
         s = _series_coef(0, prop)
         y = rng.random(m) * s
         accepted = np.zeros(m, dtype=bool)
@@ -193,8 +236,9 @@ def reference_polya_gamma(c, rng):
     c = np.asarray(c, dtype=np.float64)
     c2 = c.reshape(c.shape[0], -1)
     z = 0.5 * np.abs(c2)
-    fz = 0.125 * np.pi ** 2 + 0.5 * z * z
-    p_exp = pg._exp_branch_prob(z, fz)
+    zt = np.minimum(z, pg._Z_MAX)
+    fz = 0.125 * np.pi ** 2 + 0.5 * zt * zt
+    p_exp = pg._exp_branch_prob(zt, fz)
     step = max(1, pg._BLOCK_ENTRIES // c2.shape[1])
     out = [_reference_block(z[i:i + step].ravel(), fz[i:i + step].ravel(),
                             p_exp[i:i + step].ravel(), rng)
@@ -217,6 +261,39 @@ def test_draws_equal_the_reference_series_test(monkeypatch, c):
     rows = np.random.default_rng(33).choice([0, 2], 400)
     assert np.array_equal(polya_gamma(S, np.random.default_rng(32), rows),
                           reference_polya_gamma(S[rows], np.random.default_rng(32)))
+
+
+@pytest.mark.parametrize("block", [64, 4096])
+def test_mixed_tilts_in_one_block_equal_the_reference(monkeypatch, block):
+    # normal(0, 3) tilts put z on both sides of 1/t = 1.5625, so one block
+    # mixes both inverse-Gaussian paths, flips and both proposal branches,
+    # next to zero and extreme tilts; components 2 and 5 are never drawn
+    # from; 200 rows of 50 entries, one or 81 rows per block
+    monkeypatch.setattr(pg, "_BLOCK_ENTRIES", block)
+    S = np.random.default_rng(41).normal(0, 3, (6, 50))
+    extremes = [0.0, 1e-300, 1e200, -1e300, np.finfo(np.float64).max]
+    S[1, 20:25] = S[4, :5] = extremes
+    rows = np.random.default_rng(43).choice([0, 1, 3, 4], 200)
+    rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
+    draws = polya_gamma(S, rng, rows)
+    with np.errstate(over="ignore"):  # the reference's series at x ~ 1e-308
+        expected = reference_polya_gamma(S[rows], ref_rng)
+    assert np.array_equal(draws, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [[-1, -1], [0, 2], [0.0, 1.0], [True, False],
+                                  ["0"]],
+                         ids=["negative", "past-end", "float", "bool", "str"])
+def test_rows_must_index_the_tilt_table(rows):
+    # unchecked, [-1, -1] would wrap round and draw PG(1, 50) from row 1,
+    # and nothing may be drawn before the check
+    c = np.array([[0.0, 0.0], [50.0, 50.0]])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"rows must be integers in 0\.\.1"):
+        polya_gamma(c, rng, rows)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.filterwarnings("error")
