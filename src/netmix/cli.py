@@ -18,7 +18,7 @@ import numpy as np
 from . import dataio, synthetic
 from .core import MixtureParameters, sample_cohort
 from .dataio import ConfigError, DataFormatError, NetmixError
-from .inference import CohortData, SamplerConfig, run_chain
+from .inference import CohortData, SamplerConfig, _check_seed, run_chain
 from .priors import HyperParameters, sample_prior
 from .testing import (classify, compute_test_report, evaluate_classifier,
                       test_degree)
@@ -80,6 +80,7 @@ def _cmd_simulate(args) -> int:
     V, n0, n1 = cfg["v"], cfg["n0"], cfg["n1"]
     extra = {}
     try:
+        _check_seed(seed)
         if scenario == "prior":
             hyper = _build_hyper(cfg, V)
             params, _ = sample_prior(hyper, np.random.default_rng(seed))

@@ -14,9 +14,12 @@ returns only the per-component sums W (H, L) that Z and the factors read.
 Factor updates run in scaled coordinates Xbar = X sqrt(lambda) so the
 shrinkage auxiliaries theta stay conjugate without changing the
 similarities. Given W the components' factor conditionals are
-independent, so the factor block is batched across components: one
-stacked (H, R, R) Cholesky factorization per node in a sequential node
-scan, then the column-swap and theta scans on all components at once.
+independent, so the factor block is batched across components. The
+sequential node scan runs on the occupied components only, one stacked
+(k, R, R) Cholesky factorization per node for the k occupied ones; an
+empty component's rows are drawn directly from their N(0, diag(lambda_h))
+prior. The column-swap and theta scans then run on all H components at
+once.
 The sweep runs on plain arrays (AugmentedState); parameter objects are
 built only at the boundaries. The state carries the subjects' (n, H)
 log-likelihoods under S, computed once per sweep: the next sweep's
@@ -55,6 +58,13 @@ __all__ = [
 ]
 
 
+def _check_seed(seed) -> None:
+    """Reject what numpy would refuse as a seed, naming the value."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Chain length controls. kept draws = floor((n_iter - burn_in)/thin)."""
@@ -65,6 +75,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.burn_in < 0 or self.n_iter <= self.burn_in:
             raise ValueError(f"need 0 <= burn_in < n_iter, got "
                              f"burn_in={self.burn_in}, n_iter={self.n_iter}")
@@ -263,41 +274,56 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     """Update of the scaled factors and shrinkage weights, batched across
     components.
 
-    Given the omega sums W the components' conditionals are independent,
-    so each step runs on all H components at once: rows of Xbar are
-    conjugate normal, drawn in a sequential scan over nodes (node v sees
-    the new rows of nodes before it); column swaps and theta follow, which
-    changes lambda but not Xbar, hence not the similarities. Draw order:
-    the (V, H, R) node noise, then H uniforms per swap step, then H gammas
-    per theta step. Returns new (Xbar, theta).
+    Given the omega sums W the components' conditionals are independent.
+    An empty component has W = kappa = 0, so the conditional of its rows
+    is the N(0, diag(lambda_h)) prior and they are drawn from it directly.
+    The rows of the occupied components are conjugate normal, drawn in a
+    sequential scan over nodes run on those components only (node v sees
+    the new rows of nodes before it). Column swaps and theta follow on all
+    H components; they change lambda but not Xbar, hence not the
+    similarities. Draw order: the (V, H, R) node noise, then H uniforms
+    per swap step, then H gammas per theta step. Returns new (Xbar, theta).
     """
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
     n_h = np.bincount(assignments, minlength=H)
-    kappa = (_component_sums(cohort.A, assignments, H) - 0.5 * n_h[:, None]
-             - Z * W)
-    # (V, H, V): node v reads one contiguous (H, V) slab
-    Wm = np.zeros((V, H, V))
-    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W.T
-    Km = np.zeros((V, H, V))
+    occ = np.flatnonzero(n_h)
+    # the scanned components: a view of all H when every one is occupied,
+    # else a gathered copy of the occupied ones, scattered back below
+    scan = occ if occ.size < H else slice(None)
+    kappa = (_component_sums(cohort.A, assignments, H)[scan]
+             - 0.5 * n_h[scan, None] - Z * W[scan])
+    # (V, k, V): node v reads one contiguous (k, V) slab
+    Wm = np.zeros((V, occ.size, V))
+    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W[scan].T
+    Km = np.zeros((V, occ.size, V))
     Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
 
     Xbar, theta = Xbar.copy(), theta.copy()
     lam = lam_from_theta(theta)
-    prior_prec = np.zeros((H, R, R))
-    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam
+    prior_prec = np.zeros((occ.size, R, R))
+    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam[scan]
     noise = rng.standard_normal((V, H, R, 1))
-    XbarT = Xbar.transpose(0, 2, 1)  # a view: sees each node's new rows
+    Xs = Xbar[scan]
+    XsT = Xs.transpose(0, 2, 1)  # a view: sees each node's new rows
+    node_noise = noise[:, scan]
 
-    # node-by-node Gaussian scan; empty components fall back to the
-    # N(0, lambda) prior automatically (W = kappa = 0). With P = C C^T,
-    # x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
+    # node-by-node Gaussian scan of the occupied components. With
+    # P = C C^T, x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
     for v in range(V):
-        P = prior_prec + XbarT @ (Wm[v][:, :, None] * Xbar)
+        P = prior_prec + XsT @ (Wm[v][:, :, None] * Xs)
         chol = np.linalg.cholesky(P)
-        half = np.linalg.solve(chol, XbarT @ Km[v][:, :, None]) + noise[v]
-        Xbar[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
+        half = np.linalg.solve(chol, XsT @ Km[v][:, :, None]) + node_noise[v]
+        Xs[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
+    if occ.size < H:
+        Xbar[occ] = Xs
+        # empty components: the scan on P = diag(1/lam) and b = 0 would
+        # compute noise / sqrt(1/lam); this is that value bit for bit,
+        # which noise * sqrt(lam) is not
+        empty = np.flatnonzero(n_h == 0)
+        root_prec = np.sqrt(1.0 / lam[empty])[:, None]
+        Xbar[empty] = noise[..., 0][:, empty].transpose(1, 0, 2) / root_prec
 
     # Metropolis column swaps: the likelihood only sees the column sum
     # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on

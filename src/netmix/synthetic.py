@@ -132,6 +132,8 @@ def rank_one_truth(V: int, weight: float = 1.2, share: float = 0.75,
     baseline and stops Z from absorbing the dominant component's signal
     (with a lone component that split is unidentified and the fitted rank
     drifts)."""
+    if not 0.0 <= share <= 1.0:
+        raise ValueError(f"share must lie in [0, 1], got {share}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.9, 1.5, size=(V, 1)) * rng.choice([-1.0, 1.0], size=(V, 1))
     Z = rng.uniform(-0.5, 0.5, edge_count(V))

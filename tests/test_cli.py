@@ -133,11 +133,13 @@ def test_simulate_requires_scenario_keys(tmp_path, capsys):
     ("scenario = shifted\nv = 4\nn0 = 0\nn1 = 0\n", "need n0, n1 >= 0"),
     ("scenario = shifted\nv = 1\nn0 = 2\nn1 = 3\n", "need at least 2 nodes"),
     ("scenario = rank1\nv = 4\nn0 = 2\nn1 = 3\nshare = 1.5\n",
-     "nonnegative"),
+     "share must lie in [0, 1], got 1.5"),
     ("scenario = prior\nv = 4\nn0 = 2\nn1 = 3\nz_var = inf\n",
      "'z_var' must be finite"),
+    ("scenario = shifted\nv = 4\nn0 = 2\nn1 = 3\nseed = -2\n",
+     "seed must be a non-negative integer, got -2"),
 ], ids=["clique_size", "negative_n0", "no_subjects", "one_node", "share",
-        "z_var_inf"])
+        "z_var_inf", "negative_seed"])
 def test_simulate_bad_scenario_options(tmp_path, capsys, text, message):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(text)
@@ -149,6 +151,29 @@ def test_simulate_bad_scenario_options(tmp_path, capsys, text, message):
 
 
 # ---------------------------------------------------------------- fit
+
+
+@pytest.mark.parametrize("command, config, flag, bad", [
+    ("simulate", None, "-3", -3),
+    ("fit", None, "-3", -3),
+    ("fit", "seed = -2\n", None, -2),
+], ids=["simulate_flag", "fit_flag", "fit_config"])
+def test_negative_seed_is_named(workspace, tmp_path, capsys, command, config,
+                                flag, bad):
+    if command == "simulate":
+        argv = ["simulate", "--config", str(workspace["sim_cfg"])]
+    else:
+        argv = ["fit", "--manifest", str(workspace["manifest"])]
+    if config is not None:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    if flag is not None:
+        argv += ["--seed", flag]
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be a non-negative integer, got {bad}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_archive_contents(workspace):

@@ -15,7 +15,8 @@ from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
                               log_joint, run_chain, update_assignments,
                               update_factors, update_omega, update_pY,
                               update_weights_and_T, update_Z)
-from netmix.priors import HyperParameters, _theta_shapes, sample_prior
+from netmix.priors import (HyperParameters, _theta_shapes, lam_from_theta,
+                           sample_prior)
 from netmix.synthetic import shifted_mixture_truth
 
 # ----------------------------------------------------------- helpers
@@ -76,6 +77,11 @@ def test_sampler_config_validation():
         SamplerConfig(n_iter=100, burn_in=50, thin=0)
     with pytest.raises(ValueError, match="zero draws"):
         SamplerConfig(n_iter=101, burn_in=100, thin=2)
+    for seed, shown in ((-1, "-1"), (1.5, "1.5"), (True, "True"),
+                        ("3", "'3'")):
+        with pytest.raises(ValueError, match=rf"non-negative integer, got {shown}$"):
+            SamplerConfig(seed=seed)
+    assert SamplerConfig(seed=np.int64(3)).seed == 3
 
 
 # ------------------------------------------------------------ cohort
@@ -417,6 +423,125 @@ def test_update_factors_matches_per_component_reference(V, H, R, n):
                             "gamma": H * R}
     assert np.abs(Xbar - Xref).max() <= 1e-12
     assert np.abs(th - thref).max() <= 1e-12
+
+
+# the all-H batched factor block as first written, kept apart from
+# inference so the occupied-only scan is checked against the scan it
+# replaced and not against itself
+def _reference_all_h_update_factors(Xbar, theta, Z, W, assignments, cohort,
+                                    hyper, rng):
+    emap = edge_index_map(hyper.V)
+    V, R, H = hyper.V, hyper.R, hyper.H
+    shapes = _theta_shapes(hyper)
+    n_h = np.bincount(assignments, minlength=H)
+    kappa = (inference._component_sums(cohort.A, assignments, H)
+             - 0.5 * n_h[:, None] - Z * W)
+    # (V, H, V): node v reads one contiguous (H, V) slab
+    Wm = np.zeros((V, H, V))
+    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W.T
+    Km = np.zeros((V, H, V))
+    Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
+
+    Xbar, theta = Xbar.copy(), theta.copy()
+    lam = lam_from_theta(theta)
+    prior_prec = np.zeros((H, R, R))
+    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam
+    noise = rng.standard_normal((V, H, R, 1))
+    XbarT = Xbar.transpose(0, 2, 1)  # a view: sees each node's new rows
+
+    # node-by-node Gaussian scan; empty components fall back to the
+    # N(0, lambda) prior automatically (W = kappa = 0). With P = C C^T,
+    # x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
+    for v in range(V):
+        P = prior_prec + XbarT @ (Wm[v][:, :, None] * Xbar)
+        chol = np.linalg.cholesky(P)
+        half = np.linalg.solve(chol, XbarT @ Km[v][:, :, None]) + noise[v]
+        Xbar[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
+
+    # Metropolis column swaps: the likelihood only sees the column sum
+    # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on
+    # the Gaussian prior ratio alone. Without this the active column can
+    # get stuck in a low-lambda slot and the ordering never mixes.
+    col_ss = (Xbar * Xbar).sum(axis=1)
+    for j in range(R - 1):
+        log_acc = (0.5 * (1.0 / lam[:, j] - 1.0 / lam[:, j + 1])
+                   * (col_ss[:, j] - col_ss[:, j + 1]))
+        swap = np.flatnonzero(np.log(rng.random(H)) < log_acc)
+        Xbar[swap, :, j:j + 2] = Xbar[swap][:, :, [j + 1, j]]
+        col_ss[swap, j:j + 2] = col_ss[swap][:, [j + 1, j]]
+
+    # shrinkage scan: theta_m | rest with the other thetas current
+    for m in range(R):
+        masked = theta.copy()
+        masked[:, m] = 1.0
+        tau = np.cumprod(masked, axis=1)
+        shape = shapes[m] + 0.5 * V * (R - m)
+        rate = 1.0 + 0.5 * np.sum(tau[:, m:] * col_ss[:, m:], axis=1)
+        theta[:, m] = rng.gamma(shape, 1.0 / rate)
+    return Xbar, theta
+
+
+def _factor_inputs(V, H, R, occupied, n, seed):
+    """Prior state, random cohort and fresh omega sums W with exactly the
+    components in `occupied` holding subjects."""
+    hyper = HyperParameters(V=V, H=H, R=R)
+    rng = np.random.default_rng(seed)
+    params, theta = sample_prior(hyper, rng)
+    A = (rng.random((n, hyper.L)) < 0.4).astype(np.float64)
+    cohort = _cohort_from_edges(A, rng.integers(0, 2, n), V)
+    G = rng.permutation(np.asarray(occupied)[np.arange(n) % len(occupied)])
+    state = _state_for(params, theta, cohort.A, assignments=G)
+    W = update_omega(state.Z + state.D, G, rng)
+    return state, W, cohort, hyper
+
+
+# lambda = cumprod(1/theta) = 1e-300, 1e-150, 1, 1e150, 1e300: adjacent
+# columns one factor 1e150 apart, so the swap and theta steps stay finite
+_EXTREME_THETA = np.array([1e300, 1e-150, 1e-150, 1e-150, 1e-150])
+
+
+@pytest.mark.parametrize("V,H,R,occupied,n,extreme", [
+    (68, 15, 10, (4, 11), 114, False),
+    (10, 9, 4, (0, 3, 7), 12, False),
+    (20, 4, 3, (0, 1, 2, 3), 40, False),
+    (6, 1, 3, (0,), 10, False),
+    (6, 3, 1, (0, 2), 10, False),
+    (10, 3, 5, (0, 2), 12, True),
+], ids=["paper_2_of_15", "gaps", "all_occupied", "H1", "R1",
+        "extreme_lam_empty"])
+def test_update_factors_equals_the_all_h_scan(V, H, R, occupied, n, extreme):
+    # bit for bit, with the Generator left in the same state
+    state, W, cohort, hyper = _factor_inputs(V, H, R, occupied, n, seed=V + H)
+    theta = state.theta.copy()
+    if extreme:
+        theta[1] = _EXTREME_THETA
+        assert lam_from_theta(theta[1]).min() <= 1e-299
+        assert lam_from_theta(theta[1]).max() >= 1e299
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    Xbar, th = update_factors(state.Xbar, theta, state.Z, W,
+                              state.assignments, cohort, hyper, rng)
+    Xref, thref = _reference_all_h_update_factors(
+        state.Xbar, theta, state.Z, W, state.assignments, cohort, hyper,
+        ref_rng)
+    assert np.array_equal(Xbar, Xref)
+    assert np.array_equal(th, thref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.isfinite(Xbar).all() and (th > 0).all()
+
+
+@pytest.mark.parametrize("H,occupied", [(15, (4, 11)), (4, (0, 1, 2, 3))],
+                         ids=["2_of_15", "all_occupied"])
+def test_update_factors_scans_the_occupied_components_only(monkeypatch, H,
+                                                           occupied):
+    V, R = 12, 3
+    state, W, cohort, hyper = _factor_inputs(V, H, R, occupied, 20, seed=5)
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(inference.np.linalg, "cholesky",
+                        lambda P: shapes.append(P.shape) or cholesky(P))
+    update_factors(state.Xbar, state.theta, state.Z, W, state.assignments,
+                   cohort, hyper, np.random.default_rng(3))
+    assert shapes == [(len(occupied), R, R)] * V
 
 
 def test_sign_flip_does_not_change_downstream_updates():
