@@ -3,14 +3,18 @@
 Subcommands cover the full workflow on files: simulate a synthetic
 cohort, fit the model, run the group-difference tests, score subjects,
 and render a markdown report. All outputs are deterministic given the
-inputs and seed; errors come back as a one-line diagnostic on stderr and
-a nonzero exit code.
+inputs and seed. run_cli is the one place errors become diagnostics: a
+NetmixError, an OSError or a ValueError (the library's signal for bad
+input) ends the command with exit code 1 and one ``error:`` line on
+stderr. Each command parses its config with the keys it reads, so a key
+meant for another command, or another scenario, is an error too.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,39 +27,46 @@ from .priors import HyperParameters, sample_prior
 from .testing import (classify, compute_test_report, evaluate_classifier,
                       test_degree)
 
-_SCENARIO_BUILDERS = {
-    "shifted": (synthetic.shifted_mixture_truth, ("shift",)),
-    "null": (synthetic.null_mixture_truth, ("shift",)),
-    "clique": (synthetic.clique_difference_truth, ("clique_size", "low", "high")),
-    "separable": (synthetic.separable_truth, ("shift",)),
-    "rank1": (synthetic.rank_one_truth, ("weight", "share")),
-}
-
-_HYPER_CONFIG_KEYS = {"h": "H", "r": "R", "a0": "a0", "a1": "a1",
-                      "z_mean": "z_mean", "z_var": "z_var",
-                      "mig_a1": "mig_a1", "mig_a2": "mig_a2",
-                      "dirichlet_conc": "dirichlet_conc",
-                      "prior_t1": "prior_T1"}
+# Each command reads the config keys of its tables and no others; a key
+# names the HyperParameters or SamplerConfig field of that name, case aside.
+_HYPER_KEYS = {"h": int, "r": int, "a0": float, "a1": float, "z_mean": float,
+               "z_var": float, "mig_a1": float, "mig_a2": float,
+               "dirichlet_conc": float, "prior_t1": float}
+_SAMPLER_KEYS = {"n_iter": int, "burn_in": int, "thin": int, "seed": int}
+_FIT_KEYS = {"v": int, **_HYPER_KEYS, **_SAMPLER_KEYS}
+_SIMULATE_KEYS = {"scenario": str, "v": int, "n0": int, "n1": int, "seed": int}
+_HYPER_FIELDS = {f.name.lower(): f.name for f in fields(HyperParameters)}
 
 
 def _build_hyper(cfg: dict, V: int) -> HyperParameters:
-    if "v" in cfg and cfg["v"] != V:
-        raise ConfigError(f"config says v={cfg['v']} but the data has V={V} nodes")
-    kwargs = {target: cfg[key] for key, target in _HYPER_CONFIG_KEYS.items()
-              if key in cfg}
-    try:
-        return HyperParameters(V=V, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return HyperParameters(V=V, **{_HYPER_FIELDS[key]: cfg[key]
+                                   for key in _HYPER_KEYS if key in cfg})
 
 
 def _build_sampler(cfg: dict, seed_flag: int | None) -> SamplerConfig:
-    kwargs = {k: cfg[k] for k in ("n_iter", "burn_in", "thin") if k in cfg}
-    seed = seed_flag if seed_flag is not None else cfg.get("seed", 0)
-    try:
-        return SamplerConfig(seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs = {key: cfg[key] for key in _SAMPLER_KEYS if key in cfg}
+    if seed_flag is not None:
+        kwargs["seed"] = seed_flag
+    return SamplerConfig(**kwargs)
+
+
+def _prior_params(V: int, seed: int, **hyper_keys) -> MixtureParameters:
+    return sample_prior(_build_hyper(hyper_keys, V),
+                        np.random.default_rng(seed))[0]
+
+
+# scenario -> (builder, the config keys it reads besides _SIMULATE_KEYS)
+_SCENARIOS = {
+    "prior": (_prior_params, _HYPER_KEYS),
+    "shifted": (synthetic.shifted_mixture_truth, {"shift": float}),
+    "null": (synthetic.null_mixture_truth, {"shift": float}),
+    "clique": (synthetic.clique_difference_truth,
+               {"clique_size": int, "low": float, "high": float}),
+    "separable": (synthetic.separable_truth, {"shift": float}),
+    "rank1": (synthetic.rank_one_truth, {"weight": float, "share": float}),
+}
+_SCENARIO_KEYS = {key: kind for _, keys in _SCENARIOS.values()
+                  for key, kind in keys.items()}
 
 
 def _params_to_json(params: MixtureParameters) -> dict:
@@ -71,39 +82,39 @@ def _params_to_json(params: MixtureParameters) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = dataio.parse_config(args.config)
+    cfg = dataio.parse_config(args.config, _SIMULATE_KEYS | _SCENARIO_KEYS)
     for key in ("scenario", "v", "n0", "n1"):
         if key not in cfg:
             raise ConfigError(f"simulate config needs key {key!r}")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     scenario = cfg["scenario"]
+    if scenario not in _SCENARIOS:
+        raise ConfigError(f"{args.config}: scenario must be one of "
+                          f"{tuple(_SCENARIOS)}, got {scenario!r}")
+    builder, keys = _SCENARIOS[scenario]
+    unread = [key for key in cfg if key not in _SIMULATE_KEYS and key not in keys]
+    if unread:
+        raise ConfigError(f"{args.config}: scenario {scenario!r} does not read "
+                          + ", ".join(f"key {key!r}" for key in unread))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     V, n0, n1 = cfg["v"], cfg["n0"], cfg["n1"]
-    extra = {}
-    try:
-        _check_seed(seed)
-        if scenario == "prior":
-            hyper = _build_hyper(cfg, V)
-            params, _ = sample_prior(hyper, np.random.default_rng(seed))
-            truth_summary = {}
-        else:
-            builder, keys = _SCENARIO_BUILDERS[scenario]
-            extra = {k: cfg[k] for k in keys if k in cfg}
-            truth = builder(V, seed=seed, **extra)
-            params = truth.params
-            truth_summary = {
-                "rho": truth.rho.tolist(),
-                "different_edges": [int(l) + 1 for l in truth.different_edges],
-                "pi0": truth.pi0.tolist(),
-                "pi1": truth.pi1.tolist(),
-            }
-        observations = sample_cohort(params, n0, n1,
-                                     np.random.default_rng([seed, 1]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    options = {key: cfg[key] for key in keys if key in cfg}
+    _check_seed(seed)
+    truth = builder(V, seed=seed, **options)
+    if scenario == "prior":  # a bare parameter draw: no difference truth
+        params, options, truth_summary = truth, {}, {}
+    else:
+        params = truth.params
+        truth_summary = {
+            "rho": truth.rho.tolist(),
+            "different_edges": [int(l) + 1 for l in truth.different_edges],
+            "pi0": truth.pi0.tolist(),
+            "pi1": truth.pi1.tolist(),
+        }
+    observations = sample_cohort(params, n0, n1, np.random.default_rng([seed, 1]))
     out = Path(args.out_dir)
     manifest_path = dataio.write_dataset(out, observations)
     payload = {"scenario": scenario, "seed": seed, "n0": n0, "n1": n1,
-               "options": extra, "params": _params_to_json(params),
+               "options": options, "params": _params_to_json(params),
                **truth_summary}
     dataio.atomic_write_text(out / "truth.json",
                              json.dumps(payload, sort_keys=True) + "\n")
@@ -113,15 +124,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = dataio.parse_config(args.config) if args.config else {}
+    cfg = dataio.parse_config(args.config, _FIT_KEYS) if args.config else {}
     observations, _ = dataio.load_dataset(args.manifest)
     cohort = CohortData.from_observations(observations)
+    if "v" in cfg and cfg["v"] != cohort.V:
+        raise ConfigError(f"config says v={cfg['v']} but the data has "
+                          f"V={cohort.V} nodes")
     hyper = _build_hyper(cfg, cohort.V)
-    config = _build_sampler(cfg, args.seed)
-    try:
-        draws = run_chain(cohort, hyper, config)
-    except ValueError as exc:
-        raise NetmixError(str(exc)) from exc
+    draws = run_chain(cohort, hyper, _build_sampler(cfg, args.seed))
     out = Path(args.out_dir)
     dataio.save_draws(draws, out / "draws.bin")
     if args.format == "csv":
@@ -156,11 +166,7 @@ def _cmd_test(args) -> int:
     metadata = None
     if args.metadata is not None:
         metadata = _load_metadata_checked(args.metadata, draws.meta["V"])
-    try:
-        report = compute_test_report(draws, epsilon=args.epsilon,
-                                     cutoff=args.cutoff)
-    except ValueError as exc:
-        raise NetmixError(str(exc)) from exc
+    report = compute_test_report(draws, epsilon=args.epsilon, cutoff=args.cutoff)
     out = Path(args.out_dir)
     dataio.save_test_report(report, out / "test_report.json")
     dataio.write_edge_table(report, out / "edges.csv", metadata)
@@ -181,14 +187,11 @@ def _cmd_predict(args) -> int:
     if args.new_data is not None:
         cohort = CohortData.from_observations(
             dataio.load_dataset(args.new_data)[0])
-    try:
-        result = classify(draws, cohort)
-        if cohort.single_group:  # every probability is defined, the AUC is not
-            auc, accuracy = None, float(np.mean(result.predicted == result.labels))
-        else:
-            auc, accuracy = evaluate_classifier(result)
-    except ValueError as exc:
-        raise NetmixError(str(exc)) from exc
+    result = classify(draws, cohort)
+    if cohort.single_group:  # every probability is defined, the AUC is not
+        auc, accuracy = None, float(np.mean(result.predicted == result.labels))
+    else:
+        auc, accuracy = evaluate_classifier(result)
     out = Path(args.out_dir)
     dataio.write_predictions(result, out / "predictions.csv")
     dataio.save_classification(auc, accuracy, cohort.n,
@@ -275,12 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # ValueError is how the library says an input is out of its domain
     try:
         return args.func(args)
-    except NetmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NetmixError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

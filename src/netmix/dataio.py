@@ -8,8 +8,9 @@ Formats:
                    line is ``V=<n>`` followed by ``v,u`` pairs (1-based).
   node metadata    CSV ``name,hemisphere,lobe`` with one row per node in
                    node order; hemisphere must be L, R, or other.
-  config           ``key = value`` lines, ``#`` comments; unknown keys are
-                   rejected.
+  config           ``key = value`` lines, ``#`` comments. The command that
+                   reads a config passes the keys it reads and their types;
+                   any other key is rejected.
   draws archive    custom binary container (magic, version, JSON header,
                    raw arrays). np.savez is avoided on purpose: zip
                    embeds timestamps and would break byte-identical
@@ -317,19 +318,9 @@ def write_dataset(out_dir, observations) -> Path:
 
 # configuration files
 
-_INT_KEYS = {"v", "n0", "n1", "h", "r", "n_iter", "burn_in", "thin", "seed",
-             "clique_size"}
-_FLOAT_KEYS = {"a0", "a1", "z_mean", "z_var", "mig_a1", "mig_a2",
-               "dirichlet_conc", "prior_t1", "shift", "low", "high", "weight",
-               "share"}
-_STR_KEYS = {"scenario"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-SCENARIOS = ("prior", "shifted", "null", "clique", "separable", "rank1")
-
-
-def parse_config(path) -> dict:
-    """key = value file to a typed dict; unknown keys and bad values raise."""
+def parse_config(path, keys: dict) -> dict:
+    """key = value file to a dict typed by keys, which maps each key the
+    caller reads to int, float or str; other keys and bad values raise."""
     out = {}
     for line in _content_lines(path):
         if "=" not in line:
@@ -337,25 +328,18 @@ def parse_config(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}: unknown config key {key!r}; expected "
+                              f"one of {', '.join(sorted(keys))}")
         if key in out:
             raise ConfigError(f"{path}: duplicate config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-                if not math.isfinite(out[key]):
-                    raise ConfigError(f"{path}: value for key {key!r} must be "
-                                      f"finite, got {value!r}")
-            else:
-                out[key] = value
+            out[key] = keys[key](value)
         except ValueError:
             raise ConfigError(f"{path}: bad value {value!r} for key {key!r}")
-    if "scenario" in out and out["scenario"] not in SCENARIOS:
-        raise ConfigError(f"{path}: scenario must be one of {SCENARIOS}, "
-                          f"got {out['scenario']!r}")
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise ConfigError(f"{path}: value for key {key!r} must be "
+                              f"finite, got {value!r}")
     return out
 
 

@@ -288,26 +288,23 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
     n_h = np.bincount(assignments, minlength=H)
-    occ = np.flatnonzero(n_h)
-    # the scanned components: a view of all H when every one is occupied,
-    # else a gathered copy of the occupied ones, scattered back below
-    scan = occ if occ.size < H else slice(None)
-    kappa = (_component_sums(cohort.A, assignments, H)[scan]
-             - 0.5 * n_h[scan, None] - Z * W[scan])
+    occ, empty = np.flatnonzero(n_h), np.flatnonzero(n_h == 0)
+    kappa = (_component_sums(cohort.A, assignments, H)[occ]
+             - 0.5 * n_h[occ, None] - Z * W[occ])
     # (V, k, V): node v reads one contiguous (k, V) slab
     Wm = np.zeros((V, occ.size, V))
-    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W[scan].T
+    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W[occ].T
     Km = np.zeros((V, occ.size, V))
     Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
 
     Xbar, theta = Xbar.copy(), theta.copy()
     lam = lam_from_theta(theta)
     prior_prec = np.zeros((occ.size, R, R))
-    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam[scan]
+    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam[occ]
     noise = rng.standard_normal((V, H, R, 1))
-    Xs = Xbar[scan]
+    Xs = Xbar[occ]
     XsT = Xs.transpose(0, 2, 1)  # a view: sees each node's new rows
-    node_noise = noise[:, scan]
+    node_noise = noise[:, occ]
 
     # node-by-node Gaussian scan of the occupied components. With
     # P = C C^T, x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
@@ -316,14 +313,12 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
         chol = np.linalg.cholesky(P)
         half = np.linalg.solve(chol, XsT @ Km[v][:, :, None]) + node_noise[v]
         Xs[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
-    if occ.size < H:
-        Xbar[occ] = Xs
-        # empty components: the scan on P = diag(1/lam) and b = 0 would
-        # compute noise / sqrt(1/lam); this is that value bit for bit,
-        # which noise * sqrt(lam) is not
-        empty = np.flatnonzero(n_h == 0)
-        root_prec = np.sqrt(1.0 / lam[empty])[:, None]
-        Xbar[empty] = noise[..., 0][:, empty].transpose(1, 0, 2) / root_prec
+    Xbar[occ] = Xs
+    # empty components: the scan on P = diag(1/lam) and b = 0 would
+    # compute noise / sqrt(1/lam); this is that value bit for bit,
+    # which noise * sqrt(lam) is not
+    root_prec = np.sqrt(1.0 / lam[empty])[:, None]
+    Xbar[empty] = noise[..., 0][:, empty].transpose(1, 0, 2) / root_prec
 
     # Metropolis column swaps: the likelihood only sees the column sum
     # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on
@@ -337,13 +332,21 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
         Xbar[swap, :, j:j + 2] = Xbar[swap][:, :, [j + 1, j]]
         col_ss[swap, j:j + 2] = col_ss[swap][:, [j + 1, j]]
 
-    # shrinkage scan: theta_m | rest with the other thetas current
+    # shrinkage scan: theta_m | rest with the other thetas current. A
+    # component whose lambda spans more than the float range overflows
+    # the products; its rate is then not finite and the draw refused.
     for m in range(R):
         masked = theta.copy()
         masked[:, m] = 1.0
-        tau = np.cumprod(masked, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = np.cumprod(masked, axis=1)
+            rate = 1.0 + 0.5 * np.sum(tau[:, m:] * col_ss[:, m:], axis=1)
+        bad = np.flatnonzero(~np.isfinite(rate))
+        if bad.size:
+            raise ValueError(f"shrinkage rate of factor component index "
+                             f"{bad[0]} is {rate[bad[0]]} at column index {m}: "
+                             f"its lambda spans more than the float range")
         shape = shapes[m] + 0.5 * V * (R - m)
-        rate = 1.0 + 0.5 * np.sum(tau[:, m:] * col_ss[:, m:], axis=1)
         theta[:, m] = rng.gamma(shape, 1.0 / rate)
     return Xbar, theta
 

@@ -150,6 +150,47 @@ def test_simulate_bad_scenario_options(tmp_path, capsys, text, message):
     assert len(err.splitlines()) == 1
 
 
+def test_simulate_unknown_scenario(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("scenario = banana\nv = 4\nn0 = 2\nn1 = 3\n")
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "scenario must be one of" in err and "'banana'" in err
+    assert not out.exists()
+
+
+PRIOR_CONFIG = "scenario = prior\nv = 4\nn0 = 2\nn1 = 3\n"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("fit", FIT_CONFIG + "shift = 0.5\n", "shift"),
+    ("fit", FIT_CONFIG + "scenario = clique\n", "scenario"),
+    ("fit", FIT_CONFIG + "n0 = 7\n", "n0"),
+    ("simulate", SIM_CONFIG + "shift = 0.5\n", "shift"),
+    ("simulate", SIM_CONFIG + "h = 2\n", "h"),
+    ("simulate", SIM_CONFIG + "n_iter = 10\n", "n_iter"),
+    ("simulate", PRIOR_CONFIG + "shift = 0.5\n", "shift"),
+], ids=["fit_shift", "fit_scenario", "fit_n0", "clique_shift", "clique_h",
+        "clique_n_iter", "prior_shift"])
+def test_config_key_the_command_does_not_read_is_named(
+        workspace, tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(text)
+    if command == "simulate":
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["fit", "--manifest", str(workspace["manifest"]),
+                "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"key {key!r}" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -249,6 +290,22 @@ def test_fit_underflowing_weights_is_one_line_error(workspace, tmp_path,
     assert "dirichlet_conc=1e-08" in err
     assert len(err.splitlines()) == 1
     assert not (out / "draws.bin").exists()
+
+
+def test_fit_overflowing_shrinkage_rate_is_one_line_error(workspace, tmp_path,
+                                                          capsys):
+    # theta_2, theta_3 ~ Gamma(1e155, 1): their product, a factor of the
+    # theta scan's rate, overflows while every lambda stays finite
+    cfg = tmp_path / "huge_mig_a2.cfg"
+    cfg.write_text("h = 2\nr = 3\nmig_a1 = 0.1\nmig_a2 = 1e155\n"
+                   "n_iter = 4\nburn_in = 1\nthin = 1\nseed = 0\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--manifest", str(workspace["manifest"]),
+                    "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: shrinkage rate of factor component index ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- test
@@ -410,6 +467,36 @@ def test_predict_single_group_writes_null_auc(workspace, tmp_path, capsys):
     assert run_cli(["report", "--out-dir", str(out)]) == 0
     text = (out / "report.md").read_text()
     assert "- AUC: not available (single-group cohort)" in text
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "1.5"], "epsilon must lie in (0, 1), got 1.5"),
+    (["--cutoff", "0"], "cutoff must lie in (0, 1), got 0.0"),
+], ids=["epsilon", "cutoff"])
+def test_test_bad_threshold_is_one_line_error(workspace, tmp_path, capsys,
+                                              flags, message):
+    out = tmp_path / "out"
+    assert run_cli(["test", "--archive", str(workspace["archive"]), *flags,
+                    "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_predict_new_data_node_count_mismatch(workspace, tmp_path, capsys):
+    cfg = tmp_path / "sim5.cfg"
+    cfg.write_text("scenario = clique\nv = 5\nn0 = 3\nn1 = 3\n"
+                   "clique_size = 3\nseed = 1\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "five")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(["predict", "--archive", str(workspace["archive"]),
+                    "--manifest", str(workspace["manifest"]),
+                    "--new-data", str(tmp_path / "five" / "manifest.csv"),
+                    "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: cohort node count does not "
+                                       "match the fitted draws\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- report

@@ -264,6 +264,11 @@ def test_load_node_metadata_errors(tmp_path):
 # ------------------------------------------------------------- config
 
 
+CONFIG_KEYS = {"v": int, "n_iter": int, "scenario": str, "a0": float,
+               "z_var": float, "mig_a2": float, "dirichlet_conc": float,
+               "shift": float}
+
+
 def test_parse_config_types(tmp_path):
     path = _write(tmp_path, "cfg.txt",
                   "# sampler\n"
@@ -271,7 +276,7 @@ def test_parse_config_types(tmp_path):
                   "n_iter = 500\n"
                   "mig_a2 = 4.5\n"
                   "scenario = shifted  # synthetic family\n")
-    cfg = parse_config(path)
+    cfg = parse_config(path, CONFIG_KEYS)
     assert cfg == {"v": 20, "n_iter": 500, "mig_a2": 4.5,
                    "scenario": "shifted"}
     assert isinstance(cfg["v"], int) and isinstance(cfg["mig_a2"], float)
@@ -285,7 +290,6 @@ def test_parse_config_errors(tmp_path):
         ("mig_a2 = abc\n", "bad value"),
         ("just some words\n", "expected 'key = value'"),
         ("record_pi = true\n", "unknown config key"),
-        ("scenario = banana\n", "scenario must be one of"),
         ("a0 = nan\n", "'a0' must be finite"),
         ("z_var = inf\n", "'z_var' must be finite"),
         ("dirichlet_conc = -inf\n", "'dirichlet_conc' must be finite"),
@@ -293,11 +297,12 @@ def test_parse_config_errors(tmp_path):
     ]
     for i, (text, pattern) in enumerate(cases):
         with pytest.raises(ConfigError, match=pattern):
-            parse_config(_write(tmp_path, f"cfg{i}.txt", text))
+            parse_config(_write(tmp_path, f"cfg{i}.txt", text), CONFIG_KEYS)
 
 
 def test_parse_config_empty_is_empty(tmp_path):
-    assert parse_config(_write(tmp_path, "e.txt", "# only comments\n")) == {}
+    assert parse_config(_write(tmp_path, "e.txt", "# only comments\n"),
+                        CONFIG_KEYS) == {}
 
 
 # ------------------------------------------------------ draws archive

@@ -1,4 +1,5 @@
 """Gibbs sampler: full conditionals, sweep mechanics, and chain behavior."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -527,6 +528,21 @@ def test_update_factors_equals_the_all_h_scan(V, H, R, occupied, n, extreme):
     assert np.array_equal(th, thref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.isfinite(Xbar).all() and (th > 0).all()
+
+
+def test_update_factors_refuses_an_overflowing_shrinkage_rate():
+    # lambda = 1e300, 1e150, 1, 1e-150, 1e-300 on an empty component: the
+    # theta scan's products overflow, and that ends in one ValueError, not
+    # in a RuntimeWarning and a component whose every lambda is inf
+    state, W, cohort, hyper = _factor_inputs(10, 3, 5, (0, 2), 12, seed=13)
+    theta = state.theta.copy()
+    theta[1] = [1e-300, 1e150, 1e150, 1e150, 1e150]
+    assert np.isfinite(lam_from_theta(theta[1])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="component index 1 is inf"):
+            update_factors(state.Xbar, theta, state.Z, W, state.assignments,
+                           cohort, hyper, np.random.default_rng(7))
 
 
 @pytest.mark.parametrize("H,occupied", [(15, (4, 11)), (4, (0, 1, 2, 3))],
