@@ -279,9 +279,19 @@ def logistic_map(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
     if not np.isfinite(S).all():
         raise ValueError("log-odds must be finite")
+    return np.clip(_expit(S), _PI_LO, _PI_HI)
+
+
+def _expit(S):
+    """Elementwise 1/(1+exp(-S)), unclipped. exp overflows below S = -709;
+    the resulting inf maps to exactly 0, the correct limit."""
     with np.errstate(over="ignore"):
-        p = 1.0 / (1.0 + np.exp(-S))
-    return np.clip(p, _PI_LO, _PI_HI)
+        return 1.0 / (1.0 + np.exp(-S))
+
+
+def _logit(p):
+    """Elementwise log(p / (1 - p)), the inverse of _expit."""
+    return np.log(p / (1.0 - p))
 
 
 def _check_edges(a: np.ndarray, L: int | None = None) -> np.ndarray:

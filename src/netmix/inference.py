@@ -38,8 +38,9 @@ import numpy as np
 from .core import (MixtureParameters, NetworkObservation, _categorical,
                    _component_log_liks, _deviations, _is_binary, edge_index_map)
 from .pg import polya_gamma
-from .priors import (HyperParameters, _draw_weights_and_T, _theta_shapes,
-                     lam_from_theta, log_prior_from_arrays, sample_prior)
+from .priors import (HyperParameters, _draw_weights_and_T, _sampler_lam,
+                     _theta_shapes, lam_from_theta, log_prior_from_arrays,
+                     sample_prior)
 
 __all__ = [
     "SamplerConfig",
@@ -204,7 +205,7 @@ class AugmentedState:
 
     @property
     def lam(self) -> np.ndarray:
-        return lam_from_theta(self.theta)
+        return _sampler_lam(self.theta)
 
     @property
     def X(self) -> np.ndarray:
@@ -298,7 +299,7 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
 
     Xbar, theta = Xbar.copy(), theta.copy()
-    lam = lam_from_theta(theta)
+    lam = _sampler_lam(theta)
     prior_prec = np.zeros((occ.size, R, R))
     prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam[occ]
     noise = rng.standard_normal((V, H, R, 1))

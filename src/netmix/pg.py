@@ -31,11 +31,15 @@ together on such a mask. So each mask is turned into ascending indices
 once, every proposal is written to the output (a rejected one is
 overwritten in a later round), and the pending entries' tables, like the
 small-tilt -z^2/2, are compacted along with them.
+
+The branch probability's log_ndtr is the one special function here that
+numpy lacks. It comes from scipy.special, imported on the first call
+rather than with the module: importing scipy.special costs a few hundred
+milliseconds, and of the CLI commands only fit draws PG variables.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr
 
 __all__ = ["polya_gamma", "polya_gamma_draw"]
 
@@ -52,6 +56,8 @@ _Z_MAX = 1e150
 
 def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """Probability of proposing from the exponential (x > t) branch."""
+    from scipy.special import log_ndtr  # slow to import; only fit gets here
+
     rt = np.sqrt(1.0 / _T)
     x0 = np.log(fz) + fz * _T
     b = rt * (_T * z - 1.0)

@@ -7,13 +7,17 @@ and theta_m ~ Gamma(mig_a2, 1) for m >= 2 (rate parameterization), which
 stochastically shrinks higher columns toward zero. Mixing weights are
 Dirichlet, either shared across groups (T=0) or group-specific (T=1), and
 the group prevalence pY1 is Beta(a1, a0).
+
+The densities' gammaln comes from scipy.special, imported in the functions
+that call it: importing scipy.special costs a few hundred milliseconds, and
+of the CLI commands only fit evaluates a prior density.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .core import MixtureParameters, edge_count
 
@@ -80,6 +84,20 @@ def lam_from_theta(theta: np.ndarray) -> np.ndarray:
     return np.cumprod(1.0 / theta, axis=-1)
 
 
+def _sampler_lam(theta: np.ndarray) -> np.ndarray:
+    """lam_from_theta of a sampler state's theta (H, R). The sampler divides
+    by lambda, so a lambda of 0 or inf, which only extreme multiplicative
+    gamma shapes draw, raises a ValueError naming the component."""
+    with np.errstate(all="ignore"):
+        lam = lam_from_theta(theta)
+    if not (lam.min() > 0.0 and lam.max() < np.inf):  # a NaN fails too
+        h, r = np.argwhere(~(np.isfinite(lam) & (lam > 0.0)))[0]
+        raise ValueError(f"lambda of factor component index {h} is {lam[h, r]} "
+                         f"at column index {r}: the multiplicative gamma shapes "
+                         f"mig_a1/mig_a2 draw theta outside the float range")
+    return lam
+
+
 def sample_prior(hyper: HyperParameters,
                  rng: np.random.Generator) -> tuple[MixtureParameters, np.ndarray]:
     """Draw (parameters, theta) from the prior.
@@ -95,12 +113,13 @@ def sample_prior(hyper: HyperParameters,
     theta = rng.gamma(shape=shapes, scale=1.0, size=(hyper.H, hyper.R))
     X = rng.standard_normal((hyper.H, hyper.V, hyper.R))
     nu, T = _draw_weights_and_T(np.zeros((2, hyper.H)), hyper, rng)
-    params = MixtureParameters(Z=Z, X=X, lam=lam_from_theta(theta), nu=nu,
+    params = MixtureParameters(Z=Z, X=X, lam=_sampler_lam(theta), nu=nu,
                                pY1=pY1, T=T)
     return params, theta
 
 
 def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
+    from scipy.special import gammaln
     H = counts.shape[0]
     N = counts.sum()
     return float(gammaln(H * conc) - gammaln(H * conc + N)
@@ -121,7 +140,10 @@ def _draw_weights_and_T(counts: np.ndarray, hyper: HyperParameters,
               + _log_dirichlet_multinomial(counts[0], conc)
               + _log_dirichlet_multinomial(counts[1], conc))
     log_t0 = prior_t0 + _log_dirichlet_multinomial(counts[0] + counts[1], conc)
-    T = int(rng.random() < expit(log_t1 - log_t0))
+    # Pr(T=1) = expit(d); math.exp(-d) overflows below d = -709, where
+    # Pr(T=1) < 1e-307 is taken as 0
+    d = log_t1 - log_t0
+    T = int(rng.random() < (1.0 / (1.0 + math.exp(-d)) if d > -709.0 else 0.0))
     alpha = np.full(hyper.H, conc)
     if T == 1:
         nu = np.array([rng.dirichlet(alpha + c) for c in counts])
@@ -134,6 +156,7 @@ def _dirichlet_log_pdf(w: np.ndarray, alpha: np.ndarray) -> float:
     # -inf on the simplex boundary by the usual density convention
     if (w <= 0.0).any():
         return float("-inf")
+    from scipy.special import gammaln
     return float(gammaln(alpha.sum()) - gammaln(alpha).sum()
                  + ((alpha - 1.0) * np.log(w)).sum())
 
@@ -187,6 +210,7 @@ def log_prior_from_arrays(Z: np.ndarray, X: np.ndarray, theta: np.ndarray,
                           hyper: HyperParameters) -> float:
     """Unchecked log_prior_density of a state given as arrays: X (H, V, R),
     theta (H, R), which fixes lambda, and nu (2, H)."""
+    from scipy.special import gammaln
     lp = 0.0
     # pY1 ~ Beta(a1, a0); Beta(x; a, b) on pY1 with a = a1 pairing group 1
     a, b = hyper.a1, hyper.a0

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit
 
-from .core import MixtureParameters, edge_count, edge_index_map
+from .core import MixtureParameters, _logit, edge_count, edge_index_map
 from .testing import cramers_v
 
 __all__ = [
@@ -99,9 +98,9 @@ def clique_difference_truth(V: int, clique_size: int = 5,
     rng = np.random.default_rng(seed)
     emap = edge_index_map(V)
     in_clique = (emap.rows0 < clique_size) & (emap.cols0 < clique_size)
-    Z = rng.uniform(logit(0.35), logit(0.6), emap.L)
-    Z[in_clique] = logit(low)
-    gap = float(logit(high) - logit(low))
+    Z = rng.uniform(_logit(0.35), _logit(0.6), emap.L)
+    Z[in_clique] = _logit(low)
+    gap = float(_logit(high) - _logit(low))
     X = np.zeros((2, V, 1))
     X[1, :clique_size, 0] = 1.0
     params = MixtureParameters(Z=Z, X=X, lam=np.array([[0.0], [gap]]),

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import (MixtureParameters, _component_log_liks, _deviations,
-                   _log_mixture, edge_index_map, logistic_map, node_count)
+                   _expit, _log_mixture, _logit, edge_index_map, logistic_map,
+                   node_count)
 from .inference import PosteriorDraws, as_cohort
 from .priors import lam_from_theta
 
@@ -235,12 +235,13 @@ def classify(draws: PosteriorDraws, data) -> ClassificationResult:
     if cohort.L != draws.Z.shape[1]:
         raise ValueError("cohort node count does not match the fitted draws")
     probs = np.zeros(cohort.n)
+    prior_log_odds = _logit(draws.pY1)
     for sl, S in _edge_log_odds_blocks(draws):
         comp_lp = _component_log_liks(S, cohort.A)  # (k, n, H)
         lp_y = _log_mixture(comp_lp[:, :, None, :],
                             draws.nu[sl][:, None])  # (k, n, 2)
-        probs += expit(lp_y[..., 1] - lp_y[..., 0]
-                       + logit(draws.pY1[sl])[:, None]).sum(axis=0)
+        probs += _expit(lp_y[..., 1] - lp_y[..., 0]
+                        + prior_log_odds[sl, None]).sum(axis=0)
     probs /= draws.n_draws
     return ClassificationResult(subject_ids=cohort.subject_ids,
                                 labels=cohort.y.copy(),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +291,27 @@ def test_fit_underflowing_weights_is_one_line_error(workspace, tmp_path,
     assert "dirichlet_conc=1e-08" in err
     assert len(err.splitlines()) == 1
     assert not (out / "draws.bin").exists()
+
+
+@pytest.mark.parametrize("shape,value", [
+    ("mig_a2 = 1e100", "0.0"),  # theta_2..5 ~ 1e100: lambda_5 underflows
+    ("mig_a1 = 1e-30", "inf"),  # theta_1 is drawn as 0
+])
+def test_fit_lambda_out_of_float_range_is_one_line_error(workspace, tmp_path,
+                                                         capsys, shape, value):
+    cfg = tmp_path / "extreme_shape.cfg"
+    cfg.write_text(f"h = 3\nr = 5\n{shape}\n"
+                   "n_iter = 4\nburn_in = 1\nthin = 1\nseed = 0\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["fit", "--manifest", str(workspace["manifest"]),
+                        "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda of factor component index ")
+    assert f" is {value} at column index " in err and "mig_a1/mig_a2" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_fit_overflowing_shrinkage_rate_is_one_line_error(workspace, tmp_path,
@@ -594,13 +616,66 @@ def test_cli_requires_subcommand():
         run_cli([])
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of a second to import; only the Fisher
-    # baseline needs it, so no netmix command should pay for it
+def _source_env():
+    """Environment whose PYTHONPATH puts this netmix first."""
     src = str(Path(netmix.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, netmix.cli; "
-            "assert 'scipy.stats' not in sys.modules, "
-            "sorted(m for m in sys.modules if m.startswith('scipy.stats'))")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("module", ["netmix", "netmix.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG)
+    argv = [sys.executable, "-m", module, "simulate", "--config", str(cfg)]
+    ok = subprocess.run(argv + ["--out-dir", str(tmp_path / "sim")],
+                        env=_source_env(), capture_output=True, text=True)
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "sim" / "manifest.csv").is_file()
+    bad = subprocess.run(argv + ["--out-dir", str(tmp_path / "bad"),
+                                 "--no-such-flag"],
+                         env=_source_env(), capture_output=True, text=True)
+    assert bad.returncode != 0 and "--no-such-flag" in bad.stderr
+    assert not (tmp_path / "bad").exists()
+
+
+_SCIPY_FREE_COMMANDS = """\
+import sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import netmix
+assert not scipy_modules(), scipy_modules()
+from netmix.cli import run_cli
+assert not scipy_modules(), scipy_modules()
+root, archive, manifest, fit_cfg = map(Path, sys.argv[1:])
+(root / "sim.cfg").write_text("scenario = shifted\\nv = 6\\nn0 = 3\\nn1 = 3\\n")
+new = str(root / "new" / "manifest.csv")
+out = str(root / "out")
+for argv in (
+        ["simulate", "--config", str(root / "sim.cfg"),
+         "--out-dir", str(root / "new")],
+        ["test", "--archive", str(archive), "--out-dir", out],
+        ["predict", "--archive", str(archive), "--manifest", str(manifest),
+         "--new-data", new, "--out-dir", out],
+        ["report", "--out-dir", out, "--archive", str(archive)]):
+    assert run_cli(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert run_cli(["fit", "--manifest", new, "--config", str(fit_cfg),
+                "--out-dir", str(root / "fit")]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_cli_commands_other_than_fit_load_no_scipy(workspace, tmp_path):
+    # importing scipy.special takes a few hundred milliseconds and
+    # scipy.stats most of a second; only fit (PG draws, prior densities)
+    # and the Fisher baseline need them, so simulate, test, predict and
+    # report run without scipy, here all in one fresh interpreter
+    run = subprocess.run([sys.executable, "-c", _SCIPY_FREE_COMMANDS,
+                          str(tmp_path), str(workspace["archive"]),
+                          str(workspace["manifest"]), str(workspace["fit_cfg"])],
+                         env=_source_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

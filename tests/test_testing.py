@@ -327,6 +327,31 @@ def test_classify_saturated_log_odds_matches_pmf():
     assert np.allclose(result.probabilities, expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("pY1", [1e-300, 0.4, 1.0 - 1e-16])
+@pytest.mark.parametrize("sign", [1, -1], ids=["group1", "group0"])
+def test_classify_extreme_log_odds_matches_scipy(sign, pY1):
+    # log-odds -400 (component 0) and -240 (component 1) on every edge; a
+    # present edge moves log p(a|1) - log p(a|0) by 160, so 0, 1 and 5
+    # present edges give differences 0, +-160 and +-800, and exp(800)
+    # overflows. pY1 puts the prevalence's log-odds between -691 and +37.
+    V, L = 4, 6
+    nu = np.eye(2) if sign == 1 else np.eye(2)[::-1]
+    params = MixtureParameters(Z=np.full(L, -400.0),
+                               X=np.stack([np.zeros((V, 1)), np.ones((V, 1))]),
+                               lam=np.array([[0.0], [160.0]]),
+                               nu=nu.copy(), pY1=pY1, T=1)
+    edges = np.zeros((3, L))
+    edges[1, 0] = edges[2, :5] = 1.0
+    cohort = _cohort_from_edges(edges, [0, 1, 0], V)
+    result = classify(_draws_from_params([params]), cohort)
+    diffs = [conditional_log_pmf(a, params, 1) - conditional_log_pmf(a, params, 0)
+             for a in edges.astype(np.int8)]
+    assert diffs == pytest.approx([0.0, 160.0 * sign, 800.0 * sign], abs=1e-9)
+    expected = expit(np.array(diffs) + logit(pY1))
+    np.testing.assert_allclose(result.probabilities, expected,
+                               rtol=1e-15, atol=0.0)
+
+
 def test_classify_dimension_mismatch():
     draws = _draws_from_params([_gap_params(4)])
     cohort = _cohort_from_edges(np.zeros((2, 10)), [0, 1], 5)
