@@ -21,6 +21,12 @@ def pg_mean(c: float) -> float:
     return float(np.tanh(c / 2.0) / (2.0 * c))
 
 
+def pg_var(c: float) -> float:
+    if c == 0.0:
+        return 1.0 / 24.0
+    return float((np.sinh(c) - c) / (4.0 * c ** 3 * np.cosh(c / 2.0) ** 2))
+
+
 def oracle_draws(c: float, n: int, rng: np.random.Generator) -> np.ndarray:
     k = np.arange(1, _ORACLE_TERMS + 1)
     denom = (k - 0.5) ** 2 + c * c / (4.0 * np.pi ** 2)
@@ -37,6 +43,21 @@ def test_sample_mean_matches_moment_formula(c):
     draws = polya_gamma(np.full(50_000, c), rng)
     se = draws.std() / np.sqrt(draws.size)
     assert abs(draws.mean() - pg_mean(c)) < 4 * se + 1e-6
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.5, 3.1, 3.2, 6.0])
+def test_mean_and_variance_match_moment_formulas(c):
+    # 2 < c < 3.125 puts z = c/2 just below 1/t, where the small-tilt
+    # inverse-Gaussian proposal carries most of the left piece's mass
+    draws = polya_gamma(np.full(200_000, c), np.random.default_rng(19))
+    dev = draws - draws.mean()
+    var = np.mean(dev ** 2)
+    mean_se = np.sqrt(var / draws.size)
+    var_se = np.sqrt((np.mean(dev ** 4) - var ** 2) / draws.size)
+    assert abs(draws.mean() - pg_mean(c)) < 4.5 * mean_se, \
+        f"mean z {(draws.mean() - pg_mean(c)) / mean_se:.2f}"
+    assert abs(var - pg_var(c)) < 4.5 * var_se, \
+        f"variance z {(var - pg_var(c)) / var_se:.2f}"
 
 
 def test_oracle_agrees_with_moment_formula():
