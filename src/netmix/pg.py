@@ -8,8 +8,11 @@ t = 0.64, and the accept/reject decision uses the partial sums S_n of the
 alternating series for the J* density, so acceptance is exact, not
 approximate. The test runs in ratio form, U against S_n / a_0, whose
 terms a_n / a_0 = (2n + 1) exp(-n (n + 1) k) take one exp each (k =
-pi^2 x / 2 right of t, 2 / x left of it): the first decision settles all
-but a few draws in 10,000 at one exp per draw.
+pi^2 x / 2 right of t, 2 / x left of it). The first-term ratio
+1 - 3 exp(-2k) is never below 1 - 3 exp(-4/t) = 0.9942, so a uniform at or
+below that bound (_SURE, less a rounding margin) accepts with no exp at
+all; only the other ~0.6% of entries compute k and the series, on their
+compacted subset. Proposals are written straight into the output rows.
 
 The tilt-only quantities (z, the exponential rate fz and the branch
 probability, which costs two log_ndtr calls) are tabled once per distinct
@@ -52,6 +55,10 @@ _BLOCK_ENTRIES = 2**15
 # z^2 overflows and 1/z^2 underflows a little past this tilt; the tables use
 # min(z, _Z_MAX), as the exponential branch's probability is 0.0 from z ~ 50
 _Z_MAX = 1e150
+# the smallest first-term ratio 1 - 3 exp(-2k) takes, at k = 2/t (k >= 2/t
+# left of t and k > pi^2 t / 2 right of it), less a margin for rounding: a
+# uniform at or below it accepts without the proposal's series
+_SURE = 1.0 - 3.0 * np.exp(-4.0 / _T) - 1e-12
 
 
 def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
@@ -70,13 +77,14 @@ def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + q_over_p)
 
 
-def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized."""
-    out = np.empty_like(z)
-
+def _rtigauss(z: np.ndarray, rng: np.random.Generator, out: np.ndarray,
+              dst: np.ndarray) -> None:
+    """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized; the
+    draw for z[i] is written to out[dst[i]]."""
     # small tilt: rejection from the t-truncated chi-like proposal
-    idx = np.flatnonzero(z < 1.0 / _T)
-    neg_half_z2 = -0.5 * z.take(idx) ** 2  # compacted along with idx
+    small = np.flatnonzero(z < 1.0 / _T)
+    idx = dst.take(small)
+    neg_half_z2 = -0.5 * z.take(small) ** 2  # compacted along with idx
     rounds = 0
     while idx.size:
         e1, e2 = rng.standard_exponential((2, idx.size))
@@ -91,8 +99,9 @@ def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             raise RuntimeError("truncated inverse Gaussian sampler stalled")
 
     # larger tilt: sample IG(mu, 1) directly, keep draws inside (0, t]
-    idx = np.flatnonzero(z >= 1.0 / _T)
-    mu = 1.0 / z.take(idx)
+    large = np.flatnonzero(z >= 1.0 / _T)
+    idx = dst.take(large)
+    mu = 1.0 / z.take(large)
     rounds = 0
     while idx.size:
         muy = mu * rng.standard_normal(idx.size) ** 2
@@ -107,56 +116,61 @@ def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("truncated inverse Gaussian sampler stalled")
 
-    return out
+
+def _series_rejects(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Positions i where the alternating series rejects proposal x[i]
+    given its uniform u[i]."""
+    # partial sums over a_0: odd terms bound from below (accept), even
+    # terms from above (reject), ties accept; k may overflow for x near
+    # the smallest float, where the ratio is 1
+    with np.errstate(over="ignore"):
+        k = 2.0 / x
+        right = np.flatnonzero(x > _T)
+        k[right] = 0.5 * np.pi ** 2 * x.take(right)
+        s = 1.0 - 3.0 * np.exp(-2.0 * k)
+    rejected = np.zeros(x.size, dtype=bool)
+    active = np.flatnonzero(u > s)
+    n = 2
+    while active.size:
+        term = (2 * n + 1) * np.exp(-n * (n + 1) * k.take(active))
+        if n & 1:
+            s[active] -= term
+            active = active[u.take(active) > s.take(active)]
+        else:
+            s[active] += term
+            over = u.take(active) > s.take(active)
+            rejected[active[over]] = True
+            active = active[~over]
+        n += 1
+        if n > _MAX_SERIES_TERMS:  # pragma: no cover
+            raise RuntimeError("alternating series did not resolve")
+    return np.flatnonzero(rejected)
 
 
 def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """Exact J*(1, z) draws for one block, given its tilt tables; after a
-    round the tables keep only the pending entries."""
-    draws = np.empty_like(z)
+                rng: np.random.Generator, draws: np.ndarray) -> None:
+    """Exact J*(1, z) draws for one block, given its tilt tables, written
+    to draws; after a round the tables keep only the pending entries."""
     pending = np.arange(z.size)
     rounds = 0
     while pending.size:
         use_exp = rng.random(z.size) < p_exp
         exp_idx, ig_idx = np.flatnonzero(use_exp), np.flatnonzero(~use_exp)
-        prop = np.empty_like(z)
-        prop[exp_idx] = _T + rng.standard_exponential(exp_idx.size) / fz.take(exp_idx)
-        prop[ig_idx] = _rtigauss(z.take(ig_idx), rng)
+        # a rejected entry is overwritten in a later round
+        draws[pending.take(exp_idx)] = (
+            _T + rng.standard_exponential(exp_idx.size) / fz.take(exp_idx))
+        _rtigauss(z.take(ig_idx), rng, draws, pending.take(ig_idx))
 
-        # squeeze via partial sums over a_0: odd terms bound from below
-        # (accept), even terms from above (reject), ties accept; k may
-        # overflow for x near the smallest float, where the ratio is 1
-        with np.errstate(over="ignore"):
-            k = 2.0 / prop
-            right = np.flatnonzero(prop > _T)
-            k[right] = 0.5 * np.pi ** 2 * prop.take(right)
-            s = 1.0 - 3.0 * np.exp(-2.0 * k)
+        # the first-term ratio 1 - 3 exp(-2k) is at least _SURE, so only
+        # the uniforms above it need the proposal's series
         u = rng.random(z.size)
-        accepted = u <= s
-        active = np.flatnonzero(~accepted)
-        n = 2
-        while active.size:
-            term = (2 * n + 1) * np.exp(-n * (n + 1) * k[active])
-            if n & 1:
-                s[active] -= term
-                acc = u[active] <= s[active]
-                accepted[active[acc]] = True
-                active = active[~acc]
-            else:
-                s[active] += term
-                active = active[u[active] <= s[active]]
-            n += 1
-            if n > _MAX_SERIES_TERMS:  # pragma: no cover
-                raise RuntimeError("alternating series did not resolve")
-
-        draws[pending] = prop  # a rejected entry is overwritten in a later round
-        keep = np.flatnonzero(~accepted)
+        unsure = np.flatnonzero(u > _SURE)
+        keep = unsure.take(_series_rejects(draws.take(pending.take(unsure)),
+                                           u.take(unsure)))
         pending, z, fz, p_exp = (a.take(keep) for a in (pending, z, fz, p_exp))
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("rejection sampler stalled")
-    return draws
 
 
 def polya_gamma(c: np.ndarray, rng: np.random.Generator,
@@ -193,9 +207,8 @@ def polya_gamma(c: np.ndarray, rng: np.random.Generator,
     step = max(1, _BLOCK_ENTRIES // max(width, 1))
     for start in range(0, rows.size, step):
         block = rows[start:start + step]
-        out[start:start + step] = _draw_block(
-            z[block].ravel(), fz[block].ravel(), p_exp[block].ravel(),
-            rng).reshape(block.size, width)
+        _draw_block(z[block].ravel(), fz[block].ravel(), p_exp[block].ravel(),
+                    rng, out[start:start + step].reshape(-1))
     out *= 0.25
     return out.reshape(shape)
 
