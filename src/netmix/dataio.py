@@ -641,9 +641,9 @@ def save_classification(auc: float | None, accuracy: float, n: int, path) -> Non
 
 
 def load_classification(path) -> dict:
-    """The payload of save_classification; it must be an object with
-    numeric auc (or null, for a single-group cohort), accuracy and
-    n_subjects."""
+    """The payload of save_classification; it must be an object with auc
+    (or null, for a single-group cohort) and accuracy, numbers in [0, 1],
+    and n_subjects, a non-negative integer."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -656,6 +656,12 @@ def load_classification(path) -> dict:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataFormatError(f"{path}: {key!r} must be a number, got {value!r}")
+        if key == "n_subjects":
+            if not isinstance(value, int) or value < 0:
+                raise DataFormatError(
+                    f"{path}: 'n_subjects' must be a non-negative integer, got {value!r}")
+        elif not 0.0 <= value <= 1.0:  # NaN fails too
+            raise DataFormatError(f"{path}: {key!r} must lie in [0, 1], got {value!r}")
     return payload
 
 

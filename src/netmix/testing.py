@@ -66,8 +66,10 @@ class TestReport:
         if not (rho.shape == diff.shape == sig.shape) or rho.ndim != 1:
             raise ValueError("per-edge vectors must share one 1-d shape")
         node_count(rho.shape[0])
-        if ((rho < 0) | (rho > 1)).any():
+        if not ((rho >= 0) & (rho <= 1)).all():  # NaN fails both
             raise ValueError("exceedance probabilities must lie in [0, 1]")
+        if not np.isfinite(diff).all():
+            raise ValueError("edge differences must be finite")
         if not (0.0 < self.epsilon < 1.0 and 0.0 < self.decision_cutoff < 1.0):
             raise ValueError("epsilon and cutoff must lie in (0, 1)")
         if self.pr_H1 is not None and not (0.0 <= self.pr_H1 <= 1.0):
@@ -102,7 +104,7 @@ class ClassificationResult:
         n = len(self.subject_ids)
         if not (probs.shape == labels.shape == pred.shape == (n,)):
             raise ValueError("classification arrays must align with subjects")
-        if ((probs < 0) | (probs > 1)).any():
+        if not ((probs >= 0) & (probs <= 1)).all():  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "labels", labels)
@@ -291,7 +293,7 @@ def fisher_edge_pvalues(data) -> np.ndarray:
 def bh_reject(pvals: np.ndarray, level: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rejections at the given FDR level."""
     p = np.asarray(pvals, dtype=np.float64)
-    if p.ndim != 1 or ((p < 0) | (p > 1)).any():
+    if p.ndim != 1 or not ((p >= 0) & (p <= 1)).all():  # NaN fails both
         raise ValueError("p-values must be a 1-d vector in [0, 1]")
     if not (0.0 < level < 1.0):
         raise ValueError(f"FDR level must lie in (0, 1), got {level!r}")

@@ -554,8 +554,12 @@ def test_report_missing_named_archive(tmp_path, capsys):
     assert not (out / "report.md").exists()
 
 
-@pytest.mark.parametrize("payload", ["[1,2]", '{"n_subjects": 3}'],
-                         ids=["list", "no-auc"])
+@pytest.mark.parametrize("payload", [
+    "[1,2]", '{"n_subjects": 3}',
+    '{"auc": NaN, "accuracy": 0.5, "n_subjects": 3}',
+    '{"auc": 0.5, "accuracy": Infinity, "n_subjects": 3}',
+    '{"auc": 0.5, "accuracy": 0.5, "n_subjects": -3}',
+], ids=["list", "no-auc", "nan-auc", "inf-accuracy", "negative-n"])
 def test_report_malformed_classification(workspace, tmp_path, capsys, payload):
     out = tmp_path / "out"
     out.mkdir()
@@ -565,6 +569,22 @@ def test_report_malformed_classification(workspace, tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "classification.json" in err
+    assert not (out / "report.md").exists()
+
+
+@pytest.mark.parametrize("key", ["rho_exceed", "edge_diff"])
+def test_report_non_finite_test_report(workspace, tmp_path, capsys, key):
+    # json reads NaN, which no range check written as (x < 0) | (x > 1) sees
+    payload = json.loads((workspace["analysis"] / "test_report.json").read_text())
+    payload[key][0] = float("nan")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "test_report.json").write_text(json.dumps(payload))
+    assert run_cli(["report", "--out-dir", str(out),
+                    "--archive", str(workspace["archive"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "test_report.json" in err
     assert not (out / "report.md").exists()
 
 

@@ -596,6 +596,12 @@ def test_report_load_errors(tmp_path):
                       "significant_edges": [0]})
     with pytest.raises(DataFormatError, match="malformed test report"):
         load_test_report(_write(tmp_path, "c.json", bad))
+    for key, match in (("rho_exceed", "exceedance"), ("edge_diff", "finite")):
+        nan = json.dumps({"pr_H1": 0.5, "epsilon": 0.1, "decision_cutoff": 0.95,
+                          "rho_exceed": [0.5], "edge_diff": [0.0],
+                          "significant_edges": [0], key: [float("nan")]})
+        with pytest.raises(DataFormatError, match=match):
+            load_test_report(_write(tmp_path, "d.json", nan))
     with pytest.raises(DataFormatError):
         load_test_report(tmp_path / "absent.json")
 
@@ -685,6 +691,11 @@ def test_save_classification_single_group(tmp_path):
     ('{"auc": 0.5, "accuracy": "high", "n_subjects": 3}', "'accuracy'"),
     ('{"auc": 0.5, "accuracy": 0.5, "n_subjects": true}', "'n_subjects'"),
     ('{"auc": 0.5,', "corrupt JSON"),
+    ('{"auc": NaN, "accuracy": 0.5, "n_subjects": 3}', r"'auc' must lie in \[0, 1\]"),
+    ('{"auc": 0.5, "accuracy": Infinity, "n_subjects": 3}', "'accuracy' must lie"),
+    ('{"auc": 0.5, "accuracy": 1.5, "n_subjects": 3}', "'accuracy' must lie"),
+    ('{"auc": 0.5, "accuracy": 0.5, "n_subjects": -1}', "non-negative integer"),
+    ('{"auc": 0.5, "accuracy": 0.5, "n_subjects": 2.5}', "non-negative integer"),
 ])
 def test_load_classification_errors(tmp_path, text, pattern):
     path = tmp_path / "clf.json"

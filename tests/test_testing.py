@@ -226,6 +226,13 @@ def test_test_report_validation():
         TestReport(**{**ok, "edge_diff": np.zeros(5)})
     with pytest.raises(ValueError, match="exceedance"):
         TestReport(**{**ok, "rho_exceed": np.full(6, 1.5)})
+    with pytest.raises(ValueError, match="exceedance"):
+        TestReport(**{**ok, "rho_exceed": np.full(6, np.nan)})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="edge differences"):
+            TestReport(**{**ok, "edge_diff": np.full(6, bad)})
+    with pytest.raises(ValueError, match="pr_H1"):
+        TestReport(**{**ok, "pr_H1": float("nan")})
     with pytest.raises(ValueError, match="epsilon"):
         TestReport(**{**ok, "epsilon": 0.0})
     with pytest.raises(ValueError, match="pr_H1"):
@@ -423,6 +430,10 @@ def test_classification_result_validation():
         ClassificationResult(subject_ids=("a",), labels=np.array([0]),
                              probabilities=np.array([1.5]),
                              predicted=np.array([1], dtype=np.int8))
+    with pytest.raises(ValueError, match="probabilities"):
+        ClassificationResult(subject_ids=("a",), labels=np.array([0]),
+                             probabilities=np.array([np.nan]),
+                             predicted=np.array([1], dtype=np.int8))
 
 
 def test_classifier_roundtrip_on_sampled_cohort():
@@ -488,6 +499,8 @@ def test_bh_reject_hand_cases():
 def test_bh_reject_validation():
     with pytest.raises(ValueError, match="p-values"):
         bh_reject(np.array([0.5, 1.5]), 0.05)
+    with pytest.raises(ValueError, match="p-values"):  # was never rejected
+        bh_reject(np.array([0.001, np.nan]), 0.05)
     with pytest.raises(ValueError, match="level"):
         bh_reject(np.array([0.5]), 0.0)
     assert bh_reject(np.zeros(0), 0.05).shape == (0,)
