@@ -3,16 +3,29 @@
 Alternating-series rejection sampler for the Jacobi-type J*(1, z)
 distribution with tilt z = |c|/2; a PG(1, c) draw is J*(1, z)/4. The
 proposal mixes a truncated exponential (right tail, x > t) with a
-truncated inverse Gaussian (left piece, x <= t) at the classic crossover
-t = 0.64, and the accept/reject decision uses the partial sums S_n of the
-alternating series for the J* density, so acceptance is exact, not
-approximate. The test runs in ratio form, U against S_n / a_0, whose
-terms a_n / a_0 = (2n + 1) exp(-n (n + 1) k) take one exp each (k =
-pi^2 x / 2 right of t, 2 / x left of it). The first-term ratio
-1 - 3 exp(-2k) is never below 1 - 3 exp(-4/t) = 0.9942, so a uniform at or
-below that bound (_SURE, less a rounding margin) accepts with no exp at
-all; only the other ~0.6% of entries compute k and the series, on their
-compacted subset. Proposals are written straight into the output rows.
+truncated inverse Gaussian IG(1/z, 1) (left piece, x <= t) at the classic
+crossover t = 0.64, and the accept/reject decision uses the partial sums
+S_n of the alternating series for the J* density, so acceptance is exact,
+not approximate.
+
+Left piece. At tilts z >= 1/t the inverse Gaussian is drawn directly and
+kept when it falls inside (0, t]. At smaller tilts, u = 1/sqrt(x) has
+density proportional to exp(-u^2/2 - z^2 x/2) on u > a = 1/sqrt(t): a
+normal tail thinned by exp(-z^2 x/2). The tail is proposed as
+u = a + E/rate, E standard exponential, at Robert's (1995) optimal rate
+rate = (a + sqrt(a^2 + 4))/2 = 1.804, whose acceptance probability
+exp(-(u - rate)^2/2) averages 0.895 over the tail. One uniform decides
+both steps at once, U <= exp(-(u - rate)^2/2 - z^2 x/2), so a try costs
+one exponential and one uniform.
+
+Series test. It runs in ratio form, U against S_n / a_0, whose terms
+a_n / a_0 = (2n + 1) exp(-n (n + 1) k) take one exp each (k = pi^2 x / 2
+right of t, 2 / x left of it). The first-term ratio 1 - 3 exp(-2k) is
+never below 1 - 3 exp(-4/t) = 0.9942, reached at x = t from the left, so
+a uniform at or below that bound (_SURE, less a rounding margin) accepts
+with no arithmetic at all. Only the other ~0.6% of entries compute k and
+the series, on their compacted subset. Proposals are written straight
+into the output rows.
 
 The tilt-only quantities (z, the exponential rate fz and the branch
 probability, which costs two log_ndtr calls) are tabled once per distinct
@@ -55,6 +68,11 @@ _BLOCK_ENTRIES = 2**15
 # z^2 overflows and 1/z^2 underflows a little past this tilt; the tables use
 # min(z, _Z_MAX), as the exponential branch's probability is 0.0 from z ~ 50
 _Z_MAX = 1e150
+# Robert's optimal exponential rate for the normal tail u > a = 1/sqrt(t)
+# of the small-tilt left piece, with c = 1/(rate a) and h = 1/(2 rate^2)
+_TAIL_RATE = 0.5 * (1.0 / np.sqrt(_T) + np.sqrt(1.0 / _T + 4.0))
+_TAIL_C = np.sqrt(_T) / _TAIL_RATE
+_TAIL_H = 0.5 / _TAIL_RATE ** 2
 # the smallest first-term ratio 1 - 3 exp(-2k) takes, at k = 2/t (k >= 2/t
 # left of t and k > pi^2 t / 2 right of it), less a margin for rounding: a
 # uniform at or below it accepts without the proposal's series
@@ -81,16 +99,19 @@ def _rtigauss(z: np.ndarray, rng: np.random.Generator, out: np.ndarray,
               dst: np.ndarray) -> None:
     """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized; the
     draw for z[i] is written to out[dst[i]]."""
-    # small tilt: rejection from the t-truncated chi-like proposal
+    # small tilt: the thinned normal tail in u = 1/sqrt(x) > a; u = a + E/rate
+    # gives x = t / (1 + c E)^2 and, as rate^2 - a rate = 1, the tail's
+    # -(u - rate)^2/2 = -h (E - 1)^2
     small = np.flatnonzero(z < 1.0 / _T)
     idx = dst.take(small)
     neg_half_z2 = -0.5 * z.take(small) ** 2  # compacted along with idx
     rounds = 0
     while idx.size:
-        e1, e2 = rng.standard_exponential((2, idx.size))
-        valid = e1 * e1 <= 2.0 * e2 / _T
-        x = _T / (1.0 + _T * e1) ** 2
-        accept = valid & (rng.random(idx.size) <= np.exp(neg_half_z2 * x))
+        e = rng.standard_exponential(idx.size)
+        w = 1.0 + _TAIL_C * e
+        x = _T / (w * w)
+        accept = (rng.random(idx.size)
+                  <= np.exp(neg_half_z2 * x - _TAIL_H * (e - 1.0) ** 2))
         out[idx] = x  # a rejected entry is overwritten in a later round
         keep = np.flatnonzero(~accept)
         idx, neg_half_z2 = idx.take(keep), neg_half_z2.take(keep)

@@ -111,6 +111,19 @@ def test_scalar_wrapper_and_validation():
         polya_gamma(np.array([np.inf]), np.random.default_rng(0))
 
 
+def test_first_term_squeeze_bound_lies_below_the_ratio():
+    # a uniform at or below _SURE accepts without the series, so _SURE must
+    # not exceed 1 - 3 exp(-2k) as the sampler computes it: its smallest
+    # k is 2/t, at x = t from the left, and right of t k exceeds pi^2 t / 2
+    t = np.array([pg._T])
+    for k in (2.0 / t, 0.5 * np.pi ** 2 * t):
+        assert pg._SURE < (1.0 - 3.0 * np.exp(-2.0 * k))[0]
+    left = np.linspace(0.05, pg._T, 100_001)
+    right = np.nextafter(left + pg._T - 0.05, np.inf)
+    assert (pg._SURE < 1.0 - 3.0 * np.exp(-2.0 * (2.0 / left))).all()
+    assert (pg._SURE < 1.0 - 3.0 * np.exp(-np.pi ** 2 * right)).all()
+
+
 # ------------------------------------------------- distinct tilts, blocks
 
 
@@ -175,22 +188,25 @@ def _series_coef(n, x):
     return np.where(x > pg._T, right, left)
 
 
-# the boolean-mask proposal as first written, kept apart from pg so the
-# reference does not check the index-array rewrite against itself
+# the proposal in plain boolean-mask form, with no squeeze, kept apart from
+# pg so the reference does not check the index-array rewrite against itself
 def _reference_rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized."""
     out = np.empty_like(z)
 
-    # small tilt: rejection from the t-truncated chi-like proposal
+    # small tilt: u = 1/sqrt(x) is a normal tail on u > 1/sqrt(t) thinned
+    # by exp(-z^2 x/2); exponential proposal u = a + E/rate at Robert's rate
+    a = 1.0 / np.sqrt(pg._T)
+    rate = 0.5 * (a + np.sqrt(a * a + 4.0))
+    c, h = np.sqrt(pg._T) / rate, 0.5 / rate ** 2  # 1/(rate a), 1/(2 rate^2)
     idx = np.flatnonzero(z < 1.0 / pg._T)
     rounds = 0
     while idx.size:
         m = idx.size
-        e1 = rng.standard_exponential(m)
-        e2 = rng.standard_exponential(m)
-        valid = e1 * e1 <= 2.0 * e2 / pg._T
-        x = pg._T / (1.0 + pg._T * e1) ** 2
-        accept = valid & (rng.random(m) <= np.exp(-0.5 * z[idx] ** 2 * x))
+        e = rng.standard_exponential(m)
+        x = pg._T / (1.0 + c * e) ** 2  # 1/u^2
+        # -(u - rate)^2/2 = -h (e - 1)^2, since rate^2 - a rate = 1
+        accept = rng.random(m) <= np.exp(-0.5 * z[idx] ** 2 * x - h * (e - 1.0) ** 2)
         out[idx[accept]] = x[accept]
         idx = idx[~accept]
         rounds += 1
