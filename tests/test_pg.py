@@ -118,10 +118,10 @@ def test_first_term_squeeze_bound_lies_below_the_ratio():
     t = np.array([pg._T])
     for k in (2.0 / t, 0.5 * np.pi ** 2 * t):
         assert pg._SURE < (1.0 - 3.0 * np.exp(-2.0 * k))[0]
+    # and the sampler's own series accepts a uniform at _SURE on either side
     left = np.linspace(0.05, pg._T, 100_001)
-    right = np.nextafter(left + pg._T - 0.05, np.inf)
-    assert (pg._SURE < 1.0 - 3.0 * np.exp(-2.0 * (2.0 / left))).all()
-    assert (pg._SURE < 1.0 - 3.0 * np.exp(-np.pi ** 2 * right)).all()
+    x = np.concatenate([left, np.nextafter(left + pg._T - 0.05, np.inf)])
+    assert pg._series_rejects(x, np.full(x.size, pg._SURE)).size == 0
 
 
 # ------------------------------------------------- distinct tilts, blocks
