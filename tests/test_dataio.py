@@ -1,4 +1,5 @@
 """File formats: adjacency files, manifests, config, archives, artifacts."""
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -334,6 +335,39 @@ def test_draws_archive_is_byte_stable(tmp_path):
     save_draws(reordered, tmp_path / "c.bin")
     assert blob_a == (tmp_path / "c.bin").read_bytes()
     assert blob_a.startswith(b"NMXDRAWS")
+
+
+def _literal_draws():
+    """Two draws at V=3, H=2, R=1, n=2 from literal values, so the archive
+    bytes do not depend on any random stream. X is Fortran-ordered, so the
+    writer's contiguous copy is part of what the digest pins."""
+    X = np.asfortranarray([[[[0.5], [-1.25], [2.0]], [[0.0], [1.0], [-0.75]]],
+                           [[[0.25], [-1.0], [1.5]], [[0.125], [0.5], [-0.5]]]])
+    return PosteriorDraws(
+        Z=np.array([[0.1, -0.2, 0.3], [-0.4, 0.5, -0.6]]),
+        X=X,
+        theta=np.array([[[1.5], [2.0]], [[1.25], [3.0]]]),
+        nu=np.array([[[0.25, 0.75], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]),
+        pY1=np.array([0.4, 0.6]),
+        T=np.array([1, 0], dtype=np.int8),
+        assignments=np.array([[0, 1], [1, 1]], dtype=np.int32),
+        log_joint_trace=np.array([-12.5, -11.0, -10.75]),
+        meta={"V": 3, "H": 2, "R": 1, "n": 2, "single_group": False,
+              "subject_ids": ["s1", "s2"]})
+
+
+def test_draws_archive_golden_bytes(tmp_path):
+    """The v2 bytes of a fixed archive, pinned across writer changes."""
+    draws = _literal_draws()
+    assert not draws.X.flags.c_contiguous
+    path = tmp_path / "golden.bin"
+    save_draws(draws, path)
+    blob = path.read_bytes()
+    assert len(blob) == 771
+    assert hashlib.sha256(blob).hexdigest() == (
+        "bbc4254f822d513c67e6daf2a3e63c98ce5f9868d1724644c4f9f6998f3a25b7")
+    loaded = load_draws(path)
+    assert np.array_equal(loaded.X, draws.X) and loaded.meta == draws.meta
 
 
 def _valid_blob(tmp_path):
