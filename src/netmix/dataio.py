@@ -21,8 +21,12 @@ Formats:
                    derived from their theta and is then dropped.
 
 CSV tables are read by _read_table and written by _write_table, both on
-the csv module. All writers go through an atomic temp-file + rename and
-never embed timestamps, so identical inputs produce identical bytes.
+the csv module. All writers go through atomic_write_bytes (a temp file
+beside the target, then a rename) and never embed timestamps, so identical
+inputs produce identical bytes; a failed write or rename leaves no temp
+file. The draws archive is written straight from the draw arrays and read
+into one buffer per array, so no command holds more than one copy of the
+draws.
 """
 from __future__ import annotations
 
@@ -114,13 +118,23 @@ class DatasetManifest:
     V: int
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes or C-contiguous arrays) in order to
+    ``<name>.tmp`` beside path, then rename it into place. The chunks are
+    streamed as they are, never joined, so the draws archive goes to disk
+    straight from the draw arrays and saving holds no second copy of the
+    draws. A failed write or rename removes the temp file and re-raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -360,24 +374,20 @@ def save_draws(draws: PosteriorDraws, path) -> None:
     """Serialize posterior draws to the versioned binary container.
 
     Byte-identical for identical draws: the header is canonical JSON and
-    arrays are written in a fixed order with explicit dtypes.
+    arrays are written in a fixed order with explicit dtypes. The arrays
+    are streamed to disk as they are (copied only if not C-contiguous), so
+    the archive is never assembled in memory.
     """
-    arrays = []
-    header_arrays = []
-    for name in _ARRAY_ORDER:
-        arr = np.ascontiguousarray(getattr(draws, name))
-        arrays.append(arr)
-        header_arrays.append({"name": name, "dtype": arr.dtype.str,
-                              "shape": list(arr.shape)})
-    header = {"arrays": header_arrays, "meta": draws.meta}
+    arrays = [np.ascontiguousarray(getattr(draws, name)) for name in _ARRAY_ORDER]
+    header = {"arrays": [{"name": name, "dtype": arr.dtype.str,
+                          "shape": list(arr.shape)}
+                         for name, arr in zip(_ARRAY_ORDER, arrays)],
+              "meta": draws.meta}
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    parts = [_MAGIC,
-             np.uint32(_VERSION).tobytes(),
-             np.uint64(len(header_bytes)).tobytes(),
-             header_bytes]
-    parts.extend(arr.tobytes() for arr in arrays)
-    atomic_write_bytes(path, b"".join(parts))
+    atomic_write_bytes(path, _MAGIC, np.uint32(_VERSION).tobytes(),
+                       np.uint64(len(header_bytes)).tobytes(), header_bytes,
+                       *arrays)
 
 
 def _open_archive(path):

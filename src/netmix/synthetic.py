@@ -35,10 +35,6 @@ class SyntheticTruth:
     rho: np.ndarray
     different_edges: np.ndarray  # 0-based linear indices, may be empty
 
-    @property
-    def delta_pi(self) -> np.ndarray:
-        return self.pi1 - self.pi0
-
 
 def _finish(params: MixtureParameters, different: np.ndarray) -> SyntheticTruth:
     return SyntheticTruth(params=params,

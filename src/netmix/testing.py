@@ -47,7 +47,8 @@ class TestReport:
 
     pr_H1 is None when the cohort had a single group (global test
     undefined). rho_exceed[l] is the posterior probability that edge l's
-    association exceeds epsilon; significant_edges applies the cutoff;
+    association exceeds epsilon; significant_edges is rho_exceed >
+    decision_cutoff, and a report whose flags disagree is refused;
     edge_diff is the posterior mean difference in group edge
     probabilities (group 1 minus group 0).
     """
@@ -74,6 +75,9 @@ class TestReport:
             raise ValueError("epsilon and cutoff must lie in (0, 1)")
         if self.pr_H1 is not None and not (0.0 <= self.pr_H1 <= 1.0):
             raise ValueError("pr_H1 must lie in [0, 1]")
+        if not np.array_equal(sig, rho > self.decision_cutoff):
+            raise ValueError("significant edges must be those whose "
+                             "exceedance probability is above the cutoff")
         object.__setattr__(self, "rho_exceed", rho)
         object.__setattr__(self, "edge_diff", diff)
         object.__setattr__(self, "significant_edges", sig)

@@ -588,6 +588,15 @@ def test_report_non_finite_test_report(workspace, tmp_path, capsys, key):
     assert not (out / "report.md").exists()
 
 
+def test_report_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.md").mkdir(parents=True)
+    assert run_cli(["report", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["report.md"]
+
+
 # ------------------------------------------------------ unreadable inputs
 
 NOT_UTF8 = b"\xff\xfe\x00subject_id\x81\n"

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from netmix.cli import run_cli
 from netmix.core import NetworkObservation, sample_cohort
 from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
-                           NodeMetadata, atomic_write_text,
+                           NodeMetadata, atomic_write_bytes, atomic_write_text,
                            load_classification, load_dataset, load_draws,
                            load_draws_meta, load_node_metadata,
                            load_test_report, parse_config, read_adjacency_file,
@@ -19,7 +20,7 @@ from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
                            save_test_report, write_dataset, write_degree_table,
                            write_difference_matrix, write_edge_table,
                            write_predictions)
-from netmix.inference import PosteriorDraws, SamplerConfig, run_chain
+from netmix.inference import PosteriorDraws, SamplerConfig, as_cohort, run_chain
 from netmix.priors import HyperParameters
 from netmix.synthetic import shifted_mixture_truth
 from netmix.testing import (ClassificationResult, TestReport, classify,
@@ -640,6 +641,17 @@ def test_report_load_errors(tmp_path):
         load_test_report(tmp_path / "absent.json")
 
 
+def test_report_load_refuses_inconsistent_flags(tmp_path):
+    # every edge flagged although no exceedance passes the cutoff
+    bad = json.dumps({"pr_H1": 0.5, "epsilon": 0.1, "decision_cutoff": 0.95,
+                      "rho_exceed": [0.1, 0.2, 0.3], "edge_diff": [0.0] * 3,
+                      "significant_edges": [1, 1, 1]})
+    with pytest.raises(DataFormatError, match="malformed test report") as info:
+        load_test_report(_write(tmp_path, "r.json", bad))
+    assert "above the cutoff" in str(info.value)
+    assert "\n" not in str(info.value)
+
+
 # ----------------------------------------------------- table artifacts
 
 
@@ -777,3 +789,75 @@ def test_atomic_write_creates_parents_and_overwrites(tmp_path):
     assert path.read_text() == "second\n"
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_atomic_write_streams_chunks_in_order(tmp_path):
+    a = np.arange(6, dtype=np.float64).reshape(2, 3)
+    b = np.array([1, -2], dtype=np.int32)
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, b"HDR", a, b"", b)
+    assert path.read_bytes() == b"HDR" + a.tobytes() + b.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    # a failed rename: the target is a directory
+    target = tmp_path / "report.md"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(target, "text\n")
+    assert target.is_dir()
+    # a failed write: a strided array is no contiguous buffer
+    with pytest.raises(ValueError, match="contiguous"):
+        atomic_write_bytes(tmp_path / "out.bin", b"HDR", np.zeros((4, 4))[:, ::2])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.md"]
+
+
+# ------------------------------------------- memory of the post-fit path
+
+
+def _paper_shape_draws(K=200, H=15, V=68, R=10, n=114):
+    """A synthetic K-draw archive at paper shape (~19 MB at K=200) whose
+    every draw load_draws accepts, with a cohort of n subjects."""
+    rng = np.random.default_rng(0)
+    draws = PosteriorDraws(
+        Z=rng.normal(-1.0, 0.5, (K, V * (V - 1) // 2)),
+        X=0.3 * rng.standard_normal((K, H, V, R)),
+        theta=np.full((K, H, R), 1.1),
+        nu=rng.dirichlet(np.ones(H), size=(K, 2)),
+        pY1=np.full(K, 0.5),
+        T=np.ones(K, dtype=np.int8),
+        assignments=rng.integers(0, H, (K, n), dtype=np.int32),
+        log_joint_trace=np.zeros(K),
+        meta={"V": V, "H": H, "R": R, "n": n, "single_group": False})
+    cohort = as_cohort(sample_cohort(shifted_mixture_truth(V).params,
+                                     n // 2, n - n // 2, rng))
+    return draws, cohort
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes fn allocated on top of what was live)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_post_fit_path_holds_one_copy_of_the_draws(tmp_path):
+    """save_draws streams the arrays, load_draws reads one buffer per
+    array, and the test report and classifier work block by block."""
+    draws, cohort = _paper_shape_draws()
+    path = tmp_path / "draws.bin"
+    _, save_peak = _traced_peak(save_draws, draws, path)
+    size = path.stat().st_size
+    assert size > 19e6
+    loaded, load_peak = _traced_peak(load_draws, path)
+    _, report_peak = _traced_peak(compute_test_report, loaded)
+    _, classify_peak = _traced_peak(classify, loaded, cohort)
+    assert save_peak < 0.05 * size
+    assert load_peak < 1.25 * size
+    assert report_peak < 0.15 * size
+    assert classify_peak < 0.15 * size

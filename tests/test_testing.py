@@ -243,6 +243,20 @@ def test_test_report_validation():
                       "significant_edges": np.zeros(7, bool)})
 
 
+def test_test_report_refuses_flags_that_disagree_with_the_cutoff():
+    ok = dict(pr_H1=0.5, rho_exceed=np.array([0.1, 0.2, 0.96]), epsilon=0.1,
+              edge_diff=np.zeros(3),
+              significant_edges=np.array([False, False, True]),
+              decision_cutoff=0.95)
+    TestReport(**ok)
+    for flags in ([True, True, True], [False, False, False]):
+        with pytest.raises(ValueError, match="above the cutoff"):
+            TestReport(**{**ok, "significant_edges": np.array(flags)})
+    # strict inequality: an exceedance equal to the cutoff is not flagged
+    with pytest.raises(ValueError, match="above the cutoff"):
+        TestReport(**{**ok, "rho_exceed": np.array([0.1, 0.2, 0.95])})
+
+
 # -------------------------------------------------------- test degree
 
 
