@@ -326,6 +326,36 @@ def test_update_factors_keeps_lam_consistent():
     assert (lam > 0).all()
 
 
+def test_update_factors_node_conditional():
+    # node 0 is scanned first, so its new row is drawn from N(b/P, 1/P)
+    # given the input rows of the other nodes: P = 1/lambda + sum_u
+    # w_0u x_u^2 and b = sum_u kappa_0u x_u. R = 1, so no swap step moves it
+    hyper = HyperParameters(V=3, H=2, R=1)
+    emap = edge_index_map(3)
+    cohort = _cohort_from_edges([[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]],
+                                [0, 0, 1, 1], 3)
+    G = np.zeros(4, dtype=np.int64)  # component 1 stays empty
+    Xbar = np.array([[[0.8], [-1.3], [0.5]], [[0.3], [0.2], [-0.6]]])
+    theta = np.array([[10.0], [1.0]])  # lambda = 0.1 on the occupied one
+    Z = np.array([0.2, -0.4, 0.1])
+    W = np.array([[1.5, 0.7, 2.0], [0.0, 0.0, 0.0]])
+    kappa = cohort.A.sum(axis=0) - 0.5 * cohort.n - Z * W[0]
+    P, b = 1.0 / 0.1, 0.0
+    for l in range(hyper.L):
+        r, c = emap.rows0[l], emap.cols0[l]
+        if 0 in (r, c):
+            x_u = Xbar[0, r + c, 0]  # the other end of edge l
+            P += W[0, l] * x_u ** 2
+            b += kappa[l] * x_u
+    rng = np.random.default_rng(19)
+    reps = 20_000
+    draws = np.array([update_factors(Xbar, theta, Z, W, G, cohort, hyper,
+                                     rng)[0][0, 0, 0] for _ in range(reps)])
+    z_mean = (draws.mean() - b / P) / np.sqrt(1.0 / (P * reps))
+    z_var = (draws.var(ddof=1) - 1.0 / P) / (np.sqrt(2.0 / (reps - 1)) / P)
+    assert abs(z_mean) < 5 and abs(z_var) < 5, (z_mean, z_var)
+
+
 class _Replay:
     """Serves update_factors' draws to the per-component reference loop:
     the block draws (V, H, R) normals, then random(H) per swap step, then
