@@ -49,6 +49,15 @@ _PI_LO = np.nextafter(0.0, 1.0)
 _PI_HI = np.nextafter(1.0, 0.0)
 
 
+def _check_integers(obj, *names) -> None:
+    """Refuse a field of obj that is not an int or a numpy integer (a bool
+    is refused too), naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def edge_count(V: int) -> int:
     """Number of unordered node pairs, L = V(V-1)/2."""
     if V < 2:

@@ -15,8 +15,11 @@ Factor updates run in scaled coordinates Xbar = X sqrt(lambda) so the
 shrinkage auxiliaries theta stay conjugate without changing the
 similarities. Given W the components' factor conditionals are
 independent, so the factor block is batched across components. The
-sequential node scan runs on the occupied components only, one stacked
-(k, R, R) Cholesky factorization per node for the k occupied ones; an
+sequential node scan runs on the occupied components only and draws each
+node's rows in perturbation form (Papandreou & Yuille 2010): a Gaussian
+with precision P = diag(1/lambda) + X^T diag(w) X is P^-1 (b + eta) with
+eta = lambda^-1/2 e1 + X^T (sqrt(w) e2), so one stacked (k, R, R) solve
+per node serves the k occupied components, with no factorization. An
 empty component's rows are drawn directly from their N(0, diag(lambda_h))
 prior. The column-swap and theta scans then run on all H components at
 once.
@@ -36,7 +39,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (MixtureParameters, NetworkObservation, _categorical,
-                   _component_log_liks, _deviations, _is_binary, edge_index_map)
+                   _check_integers, _component_log_liks, _deviations,
+                   _is_binary, edge_index_map)
 from .pg import polya_gamma
 from .priors import (HyperParameters, _draw_weights_and_T, _sampler_lam,
                      _theta_shapes, lam_from_theta, log_prior_from_arrays,
@@ -77,6 +81,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        _check_integers(self, "n_iter", "burn_in", "thin")
         if self.burn_in < 0 or self.n_iter <= self.burn_in:
             raise ValueError(f"need 0 <= burn_in < n_iter, got "
                              f"burn_in={self.burn_in}, n_iter={self.n_iter}")
@@ -240,6 +245,14 @@ def _component_sums(x: np.ndarray, assignments: np.ndarray,
     return sums
 
 
+def _edge_counts(A: np.ndarray, assignments: np.ndarray,
+                 components: np.ndarray) -> np.ndarray:
+    """(len(components), L) edge counts of the 0/1 rows A (n, L) by
+    component: _component_sums(A, assignments, H)[components] bit for bit,
+    since sums of 0/1 entries are exact in float64 in any order."""
+    return (components[:, None] == assignments) @ A
+
+
 def update_omega(S: np.ndarray, assignments: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw omega_il ~ PG(1, S_l of subject i's component) exactly and
@@ -280,46 +293,51 @@ def update_factors(Xbar: np.ndarray, theta: np.ndarray, Z: np.ndarray,
     is the N(0, diag(lambda_h)) prior and they are drawn from it directly.
     The rows of the occupied components are conjugate normal, drawn in a
     sequential scan over nodes run on those components only (node v sees
-    the new rows of nodes before it). Column swaps and theta follow on all
-    H components; they change lambda but not Xbar, hence not the
-    similarities. Draw order: the (V, H, R) node noise, then H uniforms
-    per swap step, then H gammas per theta step. Returns new (Xbar, theta).
+    the new rows of nodes before it). Each node's rows are drawn in
+    perturbation form, x = P^-1 (b + eta) with eta ~ N(0, P), by one
+    stacked solve over the k occupied components. Column swaps and theta
+    follow on all H components; they change lambda but not Xbar, hence not
+    the similarities. Draw order: one (V, k, V + R) normal block for the
+    occupied components, node v's slab [v, c] holding the V edge normals
+    e2 and then the R prior normals e1 of occupied component c; then one
+    (|empty|, V, R) block for the empty components' prior draws; then H
+    uniforms per swap step and H gammas per theta step. Returns new
+    (Xbar, theta).
     """
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
     n_h = np.bincount(assignments, minlength=H)
     occ, empty = np.flatnonzero(n_h), np.flatnonzero(n_h == 0)
-    kappa = (_component_sums(cohort.A, assignments, H)[occ]
+    kappa = (_edge_counts(cohort.A, assignments, occ)
              - 0.5 * n_h[occ, None] - Z * W[occ])
-    # (V, k, V): node v reads one contiguous (k, V) slab
+    Xbar, theta = Xbar.copy(), theta.copy()
+    lam = _sampler_lam(theta)
+    # perturbation form: with P = diag(1/lam) + Xs^T diag(w) Xs, the
+    # noise eta = lam^-1/2 e1 + Xs^T (sqrt(w) e2) has covariance P, so
+    # x = P^-1 (b + eta) has mean P^-1 b and covariance P^-1. The parts
+    # of b + eta that the scan does not change are built here, as
+    # (V, k, V) slabs: node v reads one contiguous (k, V) slab
+    noise = rng.standard_normal((V, occ.size, V + R))
     Wm = np.zeros((V, occ.size, V))
     Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W[occ].T
     Km = np.zeros((V, occ.size, V))
     Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
-
-    Xbar, theta = Xbar.copy(), theta.copy()
-    lam = _sampler_lam(theta)
+    Km += np.sqrt(Wm) * noise[..., :V]
+    prior_noise = (noise[..., V:] / np.sqrt(lam[occ]))[..., None]
     prior_prec = np.zeros((occ.size, R, R))
     prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam[occ]
-    noise = rng.standard_normal((V, H, R, 1))
     Xs = Xbar[occ]
     XsT = Xs.transpose(0, 2, 1)  # a view: sees each node's new rows
-    node_noise = noise[:, occ]
 
-    # node-by-node Gaussian scan of the occupied components. With
-    # P = C C^T, x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
+    # node-by-node Gaussian scan of the occupied components
     for v in range(V):
         P = prior_prec + XsT @ (Wm[v][:, :, None] * Xs)
-        chol = np.linalg.cholesky(P)
-        half = np.linalg.solve(chol, XsT @ Km[v][:, :, None]) + node_noise[v]
-        Xs[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
+        rhs = XsT @ Km[v][:, :, None] + prior_noise[v]
+        Xs[:, v] = np.linalg.solve(P, rhs)[..., 0]
     Xbar[occ] = Xs
-    # empty components: the scan on P = diag(1/lam) and b = 0 would
-    # compute noise / sqrt(1/lam); this is that value bit for bit,
-    # which noise * sqrt(lam) is not
-    root_prec = np.sqrt(1.0 / lam[empty])[:, None]
-    Xbar[empty] = noise[..., 0][:, empty].transpose(1, 0, 2) / root_prec
+    Xbar[empty] = (rng.standard_normal((empty.size, V, R))
+                   * np.sqrt(lam[empty])[:, None])
 
     # Metropolis column swaps: the likelihood only sees the column sum
     # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureParameters, edge_count
+from .core import MixtureParameters, _check_integers, edge_count
 
 __all__ = [
     "HyperParameters",
@@ -52,6 +52,7 @@ class HyperParameters:
     prior_T1: float = 0.5
 
     def __post_init__(self):
+        _check_integers(self, "V", "H", "R")
         edge_count(self.V)  # validates V >= 2
         if self.H < 1 or self.R < 1:
             raise ValueError(f"need H >= 1 and R >= 1, got H={self.H}, R={self.R}")

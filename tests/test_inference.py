@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import betaln, expit, logit
 from scipy.stats import kendalltau
 
@@ -83,6 +82,22 @@ def test_sampler_config_validation():
         with pytest.raises(ValueError, match=rf"non-negative integer, got {shown}$"):
             SamplerConfig(seed=seed)
     assert SamplerConfig(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("kwargs, shown", [
+    ({"n_iter": 10.5, "burn_in": 2}, "n_iter must be an integer, got 10.5"),
+    ({"n_iter": 10, "burn_in": 2, "thin": 1.5},
+     "thin must be an integer, got 1.5"),
+    ({"n_iter": 10, "burn_in": 2.0}, "burn_in must be an integer, got 2.0"),
+    ({"n_iter": 10, "burn_in": 2, "thin": True},
+     "thin must be an integer, got True"),
+])
+def test_sampler_config_refuses_non_integer_counts(kwargs, shown):
+    # before, these constructed and run_chain raised a TypeError
+    with pytest.raises(ValueError, match=f"^{shown}$"):
+        SamplerConfig(**kwargs)
+    counts = SamplerConfig(n_iter=np.int64(10), burn_in=np.int32(2))
+    assert counts.n_draws == 2
 
 
 # ------------------------------------------------------------ cohort
@@ -230,6 +245,20 @@ def test_omega_sums_are_per_component_sums_of_the_draws(monkeypatch):
     assert np.array_equal(W, expected)
 
 
+@pytest.mark.parametrize("n,L,H,seed", [(40, 190, 4, 0), (114, 2278, 15, 1),
+                                         (7, 3, 5, 2)])
+def test_edge_counts_equal_the_component_sums(n, L, H, seed):
+    # bit for bit: the counts are sums of 0/1 entries, exact in any order
+    rng = np.random.default_rng(seed)
+    A = (rng.random((n, L)) < 0.4).astype(np.float64)
+    G = rng.integers(0, max(1, H - 2), n)  # the last two components empty
+    sums = inference._component_sums(A, G, H)
+    occupied = np.unique(G)
+    assert np.array_equal(inference._edge_counts(A, G, occupied),
+                          sums[occupied])
+    assert np.array_equal(inference._edge_counts(A, G, np.arange(H)), sums)
+
+
 # ----------------------------------------------------------------- Z
 
 
@@ -357,20 +386,25 @@ def test_update_factors_node_conditional():
 
 
 class _Replay:
-    """Serves update_factors' draws to the per-component reference loop:
-    the block draws (V, H, R) normals, then random(H) per swap step, then
-    gamma(shape, (H,) scale) per theta step; the reference asks for them
-    component by component."""
+    """Serves update_factors' draws to the per-component reference loop.
+    The block takes them from rng in this order: one (V, k, V + R) normal
+    block for the k occupied components, one (|empty|, V, R) block for the
+    empty ones, random(H) per swap step, then gamma(shape, (H,) scale) per
+    theta step. The reference asks for them component by component."""
 
-    def __init__(self, seed, V, H, R, shapes):
-        rng = np.random.default_rng(seed)
-        self.noise = rng.standard_normal((V, H, R))
+    def __init__(self, rng, hyper, occupied):
+        V, H, R = hyper.V, hyper.H, hyper.R
+        occupied = np.asarray(occupied)
+        empty = np.setdiff1d(np.arange(H), occupied)
+        self.noise = rng.standard_normal((V, occupied.size, V + R))
+        self.prior = rng.standard_normal((empty.size, V, R))
         self.u = [rng.random(H) for _ in range(R - 1)]
         # Generator.gamma(shape, scale) is scale * standard_gamma(shape)
+        shapes = _theta_shapes(hyper)
         self.g = [rng.standard_gamma(shapes[m] + 0.5 * V * (R - m), H)
                   for m in range(R)]
         self.V, self.R = V, R
-        self.calls = {"normal": 0, "random": 0, "gamma": 0}
+        self.calls = {"node": 0, "prior": 0, "random": 0, "gamma": 0}
 
     def _next(self, kind):
         k = self.calls[kind]
@@ -378,8 +412,10 @@ class _Replay:
         return k
 
     def standard_normal(self, size):
-        h, v = divmod(self._next("normal"), self.V)
-        return self.noise[v, h]
+        if size == self.V + self.R:  # an occupied component's node
+            c, v = divmod(self._next("node"), self.V)
+            return self.noise[v, c]
+        return self.prior[self._next("prior")]  # an empty component's rows
 
     def random(self):
         h, j = divmod(self._next("random"), self.R - 1)
@@ -392,8 +428,8 @@ class _Replay:
 
 def _reference_update_factors(Xbar, theta, Z, W, assignments, cohort,
                               hyper, rng):
-    """The factor block one component at a time: scalar Cholesky and
-    triangular solves per (component, node), scalar swap and theta steps."""
+    """The factor block one component at a time: a 2-D perturbation-form
+    solve per (component, node), scalar swap and theta steps."""
     emap = edge_index_map(hyper.V)
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
@@ -409,12 +445,15 @@ def _reference_update_factors(Xbar, theta, Z, W, assignments, cohort,
     for h in range(H):
         Xh, theta_h = Xbar[h], theta[h]
         lam = np.cumprod(1.0 / theta_h)
-        for v in range(V):
-            P = np.diag(1.0 / lam) + Xh.T @ (Wm[h, v][:, None] * Xh)
-            chol = np.linalg.cholesky(P)
-            half = dtrtrs(chol, Xh.T @ Km[h, v], lower=1)[0]
-            Xh[v] = dtrtrs(chol, half + rng.standard_normal(R), lower=1,
-                           trans=1)[0]
+        if n_h[h] == 0:
+            Xh[:] = rng.standard_normal((V, R)) * np.sqrt(lam)
+        for v in range(V if n_h[h] else 0):
+            # x = P^-1 (b + eta), eta = lam^-1/2 e1 + Xh^T (sqrt(w) e2)
+            w = Wm[h, v]
+            e = rng.standard_normal(V + R)
+            P = np.diag(1.0 / lam) + Xh.T @ (w[:, None] * Xh)
+            rhs = Xh.T @ (Km[h, v] + np.sqrt(w) * e[:V]) + e[V:] / np.sqrt(lam)
+            Xh[v] = np.linalg.solve(P, rhs)
         col_ss = (Xh * Xh).sum(axis=0)
         for j in range(R - 1):
             log_acc = (0.5 * (1.0 / lam[j] - 1.0 / lam[j + 1])
@@ -447,69 +486,15 @@ def test_update_factors_matches_per_component_reference(V, H, R, n):
     W = update_omega(state.Z + state.D, G, rng)
     Xbar, th = update_factors(state.Xbar, state.theta, state.Z, W, G, cohort,
                               hyper, np.random.default_rng(7))
-    replay = _Replay(7, V, H, R, _theta_shapes(hyper))
+    occupied = np.unique(G)
+    replay = _Replay(np.random.default_rng(7), hyper, occupied)
     Xref, thref = _reference_update_factors(state.Xbar, state.theta, state.Z,
                                             W, G, cohort, hyper, replay)
-    assert replay.calls == {"normal": H * V, "random": H * (R - 1),
-                            "gamma": H * R}
+    assert replay.calls == {"node": occupied.size * V,
+                            "prior": H - occupied.size,
+                            "random": H * (R - 1), "gamma": H * R}
     assert np.abs(Xbar - Xref).max() <= 1e-12
     assert np.abs(th - thref).max() <= 1e-12
-
-
-# the all-H batched factor block as first written, kept apart from
-# inference so the occupied-only scan is checked against the scan it
-# replaced and not against itself
-def _reference_all_h_update_factors(Xbar, theta, Z, W, assignments, cohort,
-                                    hyper, rng):
-    emap = edge_index_map(hyper.V)
-    V, R, H = hyper.V, hyper.R, hyper.H
-    shapes = _theta_shapes(hyper)
-    n_h = np.bincount(assignments, minlength=H)
-    kappa = (inference._component_sums(cohort.A, assignments, H)
-             - 0.5 * n_h[:, None] - Z * W)
-    # (V, H, V): node v reads one contiguous (H, V) slab
-    Wm = np.zeros((V, H, V))
-    Wm[emap.rows0, :, emap.cols0] = Wm[emap.cols0, :, emap.rows0] = W.T
-    Km = np.zeros((V, H, V))
-    Km[emap.rows0, :, emap.cols0] = Km[emap.cols0, :, emap.rows0] = kappa.T
-
-    Xbar, theta = Xbar.copy(), theta.copy()
-    lam = lam_from_theta(theta)
-    prior_prec = np.zeros((H, R, R))
-    prior_prec[:, np.arange(R), np.arange(R)] = 1.0 / lam
-    noise = rng.standard_normal((V, H, R, 1))
-    XbarT = Xbar.transpose(0, 2, 1)  # a view: sees each node's new rows
-
-    # node-by-node Gaussian scan; empty components fall back to the
-    # N(0, lambda) prior automatically (W = kappa = 0). With P = C C^T,
-    # x = C^-T (C^-1 b + e) has mean P^-1 b and covariance P^-1.
-    for v in range(V):
-        P = prior_prec + XbarT @ (Wm[v][:, :, None] * Xbar)
-        chol = np.linalg.cholesky(P)
-        half = np.linalg.solve(chol, XbarT @ Km[v][:, :, None]) + noise[v]
-        Xbar[:, v] = np.linalg.solve(chol.transpose(0, 2, 1), half)[..., 0]
-
-    # Metropolis column swaps: the likelihood only sees the column sum
-    # sum_r Xbar_r Xbar_r^T, so swapping adjacent columns is accepted on
-    # the Gaussian prior ratio alone. Without this the active column can
-    # get stuck in a low-lambda slot and the ordering never mixes.
-    col_ss = (Xbar * Xbar).sum(axis=1)
-    for j in range(R - 1):
-        log_acc = (0.5 * (1.0 / lam[:, j] - 1.0 / lam[:, j + 1])
-                   * (col_ss[:, j] - col_ss[:, j + 1]))
-        swap = np.flatnonzero(np.log(rng.random(H)) < log_acc)
-        Xbar[swap, :, j:j + 2] = Xbar[swap][:, :, [j + 1, j]]
-        col_ss[swap, j:j + 2] = col_ss[swap][:, [j + 1, j]]
-
-    # shrinkage scan: theta_m | rest with the other thetas current
-    for m in range(R):
-        masked = theta.copy()
-        masked[:, m] = 1.0
-        tau = np.cumprod(masked, axis=1)
-        shape = shapes[m] + 0.5 * V * (R - m)
-        rate = 1.0 + 0.5 * np.sum(tau[:, m:] * col_ss[:, m:], axis=1)
-        theta[:, m] = rng.gamma(shape, 1.0 / rate)
-    return Xbar, theta
 
 
 def _factor_inputs(V, H, R, occupied, n, seed):
@@ -541,7 +526,9 @@ _EXTREME_THETA = np.array([1e300, 1e-150, 1e-150, 1e-150, 1e-150])
 ], ids=["paper_2_of_15", "gaps", "all_occupied", "H1", "R1",
         "extreme_lam_empty"])
 def test_update_factors_equals_the_all_h_scan(V, H, R, occupied, n, extreme):
-    # bit for bit, with the Generator left in the same state
+    # the stacked scan over the occupied components against the reference
+    # over all H components one at a time, with the Generator left in the
+    # state the block's draws leave it in
     state, W, cohort, hyper = _factor_inputs(V, H, R, occupied, n, seed=V + H)
     theta = state.theta.copy()
     if extreme:
@@ -551,9 +538,9 @@ def test_update_factors_equals_the_all_h_scan(V, H, R, occupied, n, extreme):
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     Xbar, th = update_factors(state.Xbar, theta, state.Z, W,
                               state.assignments, cohort, hyper, rng)
-    Xref, thref = _reference_all_h_update_factors(
+    Xref, thref = _reference_update_factors(
         state.Xbar, theta, state.Z, W, state.assignments, cohort, hyper,
-        ref_rng)
+        _Replay(ref_rng, hyper, occupied))
     assert np.array_equal(Xbar, Xref)
     assert np.array_equal(th, thref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -582,9 +569,14 @@ def test_update_factors_scans_the_occupied_components_only(monkeypatch, H,
     V, R = 12, 3
     state, W, cohort, hyper = _factor_inputs(V, H, R, occupied, 20, seed=5)
     shapes = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(inference.np.linalg, "cholesky",
-                        lambda P: shapes.append(P.shape) or cholesky(P))
+    solve = np.linalg.solve
+    monkeypatch.setattr(inference.np.linalg, "solve",
+                        lambda P, b: shapes.append(P.shape) or solve(P, b))
+
+    def no_cholesky(P):
+        raise AssertionError("the factor block factorizes a precision")
+
+    monkeypatch.setattr(inference.np.linalg, "cholesky", no_cholesky)
     update_factors(state.Xbar, state.theta, state.Z, W, state.assignments,
                    cohort, hyper, np.random.default_rng(3))
     assert shapes == [(len(occupied), R, R)] * V

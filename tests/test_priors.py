@@ -47,6 +47,20 @@ def test_validation():
     assert HyperParameters(V=4, prior_T1=1.0).prior_T1 == 1.0
 
 
+@pytest.mark.parametrize("kwargs, shown", [
+    ({"V": 6, "H": 2.0}, "H must be an integer, got 2.0"),
+    ({"V": 6, "R": 2.5}, "R must be an integer, got 2.5"),
+    ({"V": 6.0}, "V must be an integer, got 6.0"),
+    ({"V": 6, "H": True}, "H must be an integer, got True"),
+])
+def test_validation_refuses_non_integer_sizes(kwargs, shown):
+    # before, these constructed and sample_prior raised a numpy TypeError
+    with pytest.raises(ValueError, match=f"^{shown}$"):
+        HyperParameters(**kwargs)
+    sizes = HyperParameters(V=np.int64(6), H=np.int32(2), R=np.int64(3))
+    assert sample_prior(sizes, np.random.default_rng(0))[0].X.shape == (2, 6, 3)
+
+
 def test_sample_prior_shapes_and_support():
     hyper = HyperParameters(V=5, H=3, R=2)
     params, theta = sample_prior(hyper, np.random.default_rng(0))
