@@ -447,13 +447,15 @@ def _reference_update_factors(Xbar, theta, Z, W, assignments, cohort,
         lam = np.cumprod(1.0 / theta_h)
         if n_h[h] == 0:
             Xh[:] = rng.standard_normal((V, R)) * np.sqrt(lam)
-        for v in range(V if n_h[h] else 0):
-            # x = P^-1 (b + eta), eta = lam^-1/2 e1 + Xh^T (sqrt(w) e2)
-            w = Wm[h, v]
-            e = rng.standard_normal(V + R)
-            P = np.diag(1.0 / lam) + Xh.T @ (w[:, None] * Xh)
-            rhs = Xh.T @ (Km[h, v] + np.sqrt(w) * e[:V]) + e[V:] / np.sqrt(lam)
-            Xh[v] = np.linalg.solve(P, rhs)
+        else:
+            for v in range(V):
+                # x = P^-1 (b + eta), eta = lam^-1/2 e1 + Xh^T (sqrt(w) e2)
+                w = Wm[h, v]
+                e = rng.standard_normal(V + R)
+                P = np.diag(1.0 / lam) + Xh.T @ (w[:, None] * Xh)
+                rhs = (Xh.T @ (Km[h, v] + np.sqrt(w) * e[:V])
+                       + e[V:] / np.sqrt(lam))
+                Xh[v] = np.linalg.solve(P, rhs)
         col_ss = (Xh * Xh).sum(axis=0)
         for j in range(R - 1):
             log_acc = (0.5 * (1.0 / lam[j] - 1.0 / lam[j + 1])
