@@ -2,15 +2,18 @@
 import hashlib
 import json
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmix.cli import run_cli
-from netmix.core import NetworkObservation, sample_cohort
+from netmix.core import NetworkObservation, edge_index_map, sample_cohort
 from netmix.dataio import (ArchiveError, ConfigError, DataFormatError,
                            NodeMetadata, atomic_write_bytes, atomic_write_text,
                            load_classification, load_dataset, load_draws,
@@ -149,6 +152,23 @@ def test_empty_and_missing_adjacency(tmp_path):
         read_adjacency_file(tmp_path / "absent.csv")
 
 
+def test_reader_accepts_the_documented_syntax(tmp_path):
+    # spaces around cells, an explicit plus sign, CRLF line ends, comments,
+    # blank lines and any integer on the diagonal
+    dense = (b"# subject 7\r\n"
+             b" 7 , +1, 0 ,0\r\n"
+             b"\r\n"
+             b"1,-3,0,+1  # row 2\r\n"
+             b"\t0,0, 0 ,1\r\n"
+             b"0 ,1,1,9223372036854775807\r\n")
+    edge_list = b"# subject 7\r\nV = 4\r\n\r\n 2 , +1 \r\n4,2 # an edge\r\n3,4\r\n"
+    expected = [1, 0, 0, 0, 1, 1]
+    for name, blob in [("dense.csv", dense), ("edges.txt", edge_list)]:
+        path = tmp_path / name
+        path.write_bytes(blob)
+        assert np.array_equal(read_adjacency_file(path), expected), name
+
+
 # ------------------------------------------------- dataset round trip
 
 
@@ -173,6 +193,65 @@ def test_write_then_load_dataset(tmp_path):
     for a, b in zip(loaded, obs):
         assert np.array_equal(a.edges, b.edges)
     assert (tmp_path / "data" / "networks" / "sub00.csv").exists()
+
+
+def _golden_cohort(V):
+    """Empty, full and patterned networks at V nodes, from literal values
+    so the file bytes depend on no random stream."""
+    L = V * (V - 1) // 2
+    patterns = [np.zeros(L), np.ones(L), np.arange(L) % 3 == 0]
+    return [NetworkObservation(edges=e.astype(np.int8), label=i % 2,
+                               subject_id=sid)
+            for i, (e, sid) in enumerate(zip(patterns, ["empty", "full",
+                                                        "site1/sub01"]))]
+
+
+def _digests(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_write_dataset_golden_bytes(tmp_path):
+    """The sha256 of every file write_dataset writes, pinned across writer
+    changes."""
+    manifest = "77eba390280512b6b91379a821a93c771ecd5d20617e7fa570fde540a5c49f8b"
+    assert _digests(write_dataset(tmp_path / "v2", _golden_cohort(2)).parent) == {
+        "manifest.csv": manifest,
+        "networks/empty.csv":
+            "5e77747e2d97ad2738b30d57fdd9095982e520b83e56374d562fbe4c597c8302",
+        "networks/full.csv":
+            "6101ec16015a127b9102cbc34d949c2a38335e11642cfd15c2f992197efa7722",
+        "networks/site1/sub01.csv":
+            "6101ec16015a127b9102cbc34d949c2a38335e11642cfd15c2f992197efa7722",
+    }
+    assert _digests(write_dataset(tmp_path / "v7", _golden_cohort(7)).parent) == {
+        "manifest.csv": manifest,
+        "networks/empty.csv":
+            "5c1f3c30e8ff7468ba777651f0f9935c30a1c69a11766433fe1416a1b4a4ffb0",
+        "networks/full.csv":
+            "b20ef5cde75e5e08a2cf00e184dcfcd2001057217b1585ceb111660daa01d132",
+        "networks/site1/sub01.csv":
+            "86300e904fe34d4a8306285a290bb5bb421ccb7150dae2242ba3e2ccc9df88fa",
+    }
+    assert (tmp_path / "v2" / "networks" / "full.csv").read_text() == "0,1\n1,0\n"
+
+
+@given(st.integers(2, 40).flatmap(
+    lambda V: st.lists(st.booleans(), min_size=V * (V - 1) // 2,
+                       max_size=V * (V - 1) // 2)))
+@settings(max_examples=40, deadline=None)
+def test_dense_and_edge_list_round_trip(flags):
+    edges = np.array(flags, dtype=np.int8)
+    obs = NetworkObservation(edges=edges, label=1, subject_id="s")
+    emap = edge_index_map(obs.V)
+    pairs = "".join(f"{v + 1},{u + 1}\n" for v, u, e in
+                    zip(emap.rows0, emap.cols0, edges) if e)
+    with tempfile.TemporaryDirectory() as tmp:
+        (loaded,), _ = load_dataset(write_dataset(Path(tmp), [obs]))
+        edge_list = Path(tmp) / "edges.txt"
+        edge_list.write_text(f"V={obs.V}\n{pairs}")
+        assert np.array_equal(loaded.edges, edges)
+        assert np.array_equal(read_adjacency_file(edge_list), edges)
 
 
 def test_write_dataset_keeps_files_inside_out_dir(tmp_path):
