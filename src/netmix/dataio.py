@@ -20,8 +20,12 @@ Formats:
                    after X, still load: their lam must equal the one
                    derived from their theta and is then dropped.
 
-CSV tables are read by _read_table and written by _write_table, both on
-the csv module. All writers go through atomic_write_bytes (a temp file
+Adjacency files are parsed in one vectorized np.loadtxt call per file
+(numpy's C parser); only a file it refuses goes through a per-cell loop,
+which names the first bad row with a message of its own. Each simulated
+network is written from one byte buffer of digits, commas and line ends.
+Every other CSV table is read by _read_table and written by _write_table,
+both on the csv module. All writers go through atomic_write_bytes (a temp file
 beside the target, then a rename) and never embed timestamps, so identical
 inputs produce identical bytes; a failed write or rename leaves no temp
 file. The draws archive is written straight from the draw arrays and read
@@ -35,6 +39,8 @@ import io
 import json
 import math
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,6 +215,35 @@ def read_adjacency_file(path) -> np.ndarray:
     return _read_dense(path, lines)
 
 
+# an integer cell as numpy's text parser reads it (after the surrounding
+# whitespace is stripped); it also needs to fit in int64
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+
+
+def _int_table(lines: list[str]) -> np.ndarray | None:
+    """(rows, columns) int64 array of comma-separated integer lines in one
+    vectorized parse, or None when a cell is not an int64 or the rows
+    differ in length; the caller then names the first bad line."""
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.5" or "1e23" into an integer column through
+            # a float, with only this warning; later releases refuse them
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _int_cells(line: str) -> list[int] | None:
+    """The integer cells of a comma-separated line, or None if one is not
+    an integer."""
+    cells = [c.strip() for c in line.split(",")]
+    if all(_INTEGER.fullmatch(c) for c in cells):
+        return [int(c) for c in cells]
+    return None
+
+
 def _read_edge_list(path, lines: list[str]) -> np.ndarray:
     head = lines[0].replace(" ", "")
     try:
@@ -217,38 +252,52 @@ def _read_edge_list(path, lines: list[str]) -> np.ndarray:
         raise DataFormatError(f"{path}: malformed node count line {lines[0]!r}")
     if V < 2:
         raise DataFormatError(f"{path}: need at least 2 nodes, got V={V}")
-    emap = edge_index_map(V)
-    edges = np.zeros(emap.L, dtype=np.int8)
-    for line in lines[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}: expected 'v,u', got {line!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataFormatError(f"{path}: non-integer node in {line!r}")
-        if a == b or not (1 <= a <= V and 1 <= b <= V):
-            raise DataFormatError(
-                f"{path}: node pair ({a}, {b}) invalid for V={V}")
-        v, u = max(a, b), min(a, b)
-        edges[emap.edge_index(v, u) - 1] = 1
+    L = V * (V - 1) // 2
+    try:
+        edges = np.zeros(L, dtype=np.int8)
+    except (MemoryError, ValueError) as exc:
+        raise DataFormatError(f"{path}: V={V} is too large: its {L}-entry edge "
+                              "vector cannot be allocated") from exc
+    if len(lines) == 1:
+        return edges
+    pairs = _int_table(lines[1:])
+    if pairs is None or pairs.shape[1] != 2:
+        _edge_list_diagnostic(path, lines[1:], V)
+    a, b = pairs[:, 0], pairs[:, 1]
+    bad = (a == b) | (np.minimum(a, b) < 1) | (np.maximum(a, b) > V)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataFormatError(
+            f"{path}: node pair ({a[i]}, {b[i]}) invalid for V={V}")
+    v, u = np.maximum(a, b), np.minimum(a, b)
+    # zero-based linear index of (v, u), column-wise down the lower triangle
+    edges[(u - 1) * V - u * (u - 1) // 2 + (v - u) - 1] = 1
     return edges
 
 
-def _read_dense(path, lines: list[str]) -> np.ndarray:
-    rows = []
-    for i, line in enumerate(lines):
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            rows.append([int(c) for c in cells])
-        except ValueError:
-            raise DataFormatError(f"{path}: non-integer entry in row {i + 1}")
-    V = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != V:
+def _edge_list_diagnostic(path, lines: list[str], V: int):
+    """Raise DataFormatError for the first pair line that is not two
+    integer nodes of 1..V."""
+    for line in lines:
+        if line.count(",") != 1:
+            raise DataFormatError(f"{path}: expected 'v,u', got {line!r}")
+        pair = _int_cells(line)
+        if pair is None:
+            raise DataFormatError(f"{path}: non-integer node in {line!r}")
+        a, b = pair
+        if a == b or not (1 <= a <= V and 1 <= b <= V):
             raise DataFormatError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {V}")
-    A = np.array(rows)
+                f"{path}: node pair ({a}, {b}) invalid for V={V}")
+    raise DataFormatError(f"{path}: unreadable edge list")
+
+
+def _read_dense(path, lines: list[str]) -> np.ndarray:
+    A = _int_table(lines)
+    if A is None:
+        _dense_diagnostic(path, lines)
+    V, columns = A.shape
+    if columns != V:
+        raise DataFormatError(f"{path}: row 1 has {columns} columns, expected {V}")
     bad = (A != 0) & (A != 1) & ~np.eye(V, dtype=bool)
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -258,6 +307,32 @@ def _read_dense(path, lines: list[str]) -> np.ndarray:
         return vectorize_adjacency(A)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _dense_diagnostic(path, lines: list[str]):
+    """Raise DataFormatError for the first non-integer row, else the first
+    row of the wrong length, else the first entry that is off the diagonal
+    and not 0 or 1, or on it and beyond int64."""
+    rows = []
+    for i, line in enumerate(lines):
+        row = _int_cells(line)
+        if row is None:
+            raise DataFormatError(f"{path}: non-integer entry in row {i + 1}")
+        rows.append(row)
+    V = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != V:
+            raise DataFormatError(
+                f"{path}: row {i + 1} has {len(row)} columns, expected {V}")
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if r != c and x not in (0, 1):
+                raise DataFormatError(f"{path}: entry {x} at row {r + 1}, "
+                                      f"column {c + 1} is not 0 or 1")
+            if not _INT64.min <= x <= _INT64.max:
+                raise DataFormatError(f"{path}: diagonal entry {x} at row {r + 1}, "
+                                      f"column {c + 1} does not fit in a 64-bit integer")
+    raise DataFormatError(f"{path}: unreadable adjacency matrix")
 
 
 def load_node_metadata(path) -> tuple[NodeMetadata, ...]:
@@ -302,6 +377,16 @@ def load_dataset(manifest_path):
     return observations, DatasetManifest(subjects=tuple(entries), V=V)
 
 
+def _dense_bytes(A: np.ndarray) -> np.ndarray:
+    """The CSV text of a 0/1 matrix as a (V, 2V) uint8 array: each row is
+    its digits, each followed by a comma, the last by a line end."""
+    V = A.shape[0]
+    text = np.full((V, 2 * V), ord(","), dtype=np.uint8)
+    text[:, 0::2] = A + ord("0")
+    text[:, -1] = ord("\n")
+    return text
+
+
 def write_dataset(out_dir, observations) -> Path:
     """Write adjacency CSVs and a manifest for a simulated cohort.
 
@@ -323,7 +408,7 @@ def write_dataset(out_dir, observations) -> Path:
     rows = []
     for obs in observations:
         rel = f"networks/{obs.subject_id}.csv"
-        _write_table(out_dir / rel, matricize(obs.edges).tolist())
+        atomic_write_bytes(out_dir / rel, _dense_bytes(matricize(obs.edges)))
         rows.append((obs.subject_id, obs.label, rel))
     manifest_path = out_dir / "manifest.csv"
     _write_table(manifest_path, rows, ("subject_id", "label", "path"))

@@ -253,6 +253,19 @@ def test_fit_csv_format_and_message(workspace, tmp_path, capsys):
     assert first[2] in ("0", "1")
 
 
+def test_fit_huge_node_count_is_one_line_error(workspace, tmp_path, capsys):
+    # V=3e9 needs a 4.5e18-entry edge vector, which cannot be allocated
+    (tmp_path / "huge.txt").write_text("V=3000000000\n2,1\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("subject_id,label,path\ns1,0,huge.txt\n")
+    assert run_cli(["fit", "--manifest", str(manifest),
+                    "--config", str(workspace["fit_cfg"]),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "huge.txt: V=3000000000 is too large" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_fit_bad_config(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,6 +168,34 @@ def test_reader_accepts_the_documented_syntax(tmp_path):
         path = tmp_path / name
         path.write_bytes(blob)
         assert np.array_equal(read_adjacency_file(path), expected), name
+
+
+def test_cells_beyond_int64(tmp_path):
+    big = 10**23
+    cases = [
+        (f"{big},1\n1,0\n",
+         f"diagonal entry {big} at row 1, column 1 does not fit in a 64-bit integer"),
+        (f"0,1,0\n1,0,{big}\n0,{big},0\n", f"entry {big} at row 2, column 3 is not 0 or 1"),
+        (f"V=3\n{big},1\n", rf"node pair \({big}, 1\) invalid for V=3"),
+    ]
+    for i, (text, pattern) in enumerate(cases):
+        with pytest.raises(DataFormatError, match=pattern):
+            read_adjacency_file(_write(tmp_path, f"big{i}.csv", text))
+
+
+def test_integer_cells_parsed_through_a_float_are_refused(tmp_path, monkeypatch):
+    # numpy before 2.x reads "1.0" into an integer column with only a
+    # DeprecationWarning; the reader must refuse the file all the same
+    def loadtxt_via_float(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning)
+        return np.array([[0, 1], [1, 0]])
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    with pytest.raises(DataFormatError, match="non-integer entry in row 1"):
+        read_adjacency_file(_write(tmp_path, "a.csv", "0,1.0\n1.0,0\n"))
+    with pytest.raises(DataFormatError, match="non-integer node in '2,1.0'"):
+        read_adjacency_file(_write(tmp_path, "a.txt", "V=2\n2,1.0\n"))
 
 
 # ------------------------------------------------- dataset round trip

@@ -486,17 +486,19 @@ def test_update_factors_matches_per_component_reference(V, H, R, n):
     G = rng.integers(0, max(1, H // 3), n)
     state = _state_for(params, theta, cohort.A, assignments=G)
     W = update_omega(state.Z + state.D, G, rng)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     Xbar, th = update_factors(state.Xbar, state.theta, state.Z, W, G, cohort,
-                              hyper, np.random.default_rng(7))
+                              hyper, rng)
     occupied = np.unique(G)
-    replay = _Replay(np.random.default_rng(7), hyper, occupied)
+    replay = _Replay(ref_rng, hyper, occupied)
     Xref, thref = _reference_update_factors(state.Xbar, state.theta, state.Z,
                                             W, G, cohort, hyper, replay)
     assert replay.calls == {"node": occupied.size * V,
                             "prior": H - occupied.size,
                             "random": H * (R - 1), "gamma": H * R}
-    assert np.abs(Xbar - Xref).max() <= 1e-12
-    assert np.abs(th - thref).max() <= 1e-12
+    assert np.array_equal(Xbar, Xref)
+    assert np.array_equal(th, thref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _factor_inputs(V, H, R, occupied, n, seed):
@@ -527,7 +529,8 @@ _EXTREME_THETA = np.array([1e300, 1e-150, 1e-150, 1e-150, 1e-150])
     (10, 3, 5, (0, 2), 12, True),
 ], ids=["paper_2_of_15", "gaps", "all_occupied", "H1", "R1",
         "extreme_lam_empty"])
-def test_update_factors_equals_the_all_h_scan(V, H, R, occupied, n, extreme):
+def test_update_factors_equals_the_replayed_reference(V, H, R, occupied, n,
+                                                     extreme):
     # the stacked scan over the occupied components against the reference
     # over all H components one at a time, with the Generator left in the
     # state the block's draws leave it in
