@@ -78,15 +78,20 @@ class EdgeIndexMap:
 
     Nodes are labeled 1..V; linear indices run 1..L, column-wise down the
     lower triangle. Zero-based companion arrays ``rows0``/``cols0`` (node
-    positions of edge slot ``l-1``) are exposed for vectorized work.
+    positions of edge slot ``l-1``) are exposed for vectorized work, and so
+    is the (V, V) boolean mask ``upper`` of the strict upper triangle: its
+    row-major order is edge order, so ``A.T[upper]`` is the edge vector of
+    a symmetric matrix A, which a mask gathers or scatters faster than the
+    index pair.
     """
 
     def __init__(self, V: int):
         self.V = int(V)
         self.L = edge_count(self.V)
         self.cols0, self.rows0 = np.triu_indices(self.V, 1)
-        self.rows0.setflags(write=False)
-        self.cols0.setflags(write=False)
+        self.upper = np.triu(np.ones((self.V, self.V), dtype=bool), 1)
+        for index in (self.rows0, self.cols0, self.upper):
+            index.setflags(write=False)
 
     def edge_index(self, v: int, u: int) -> int:
         """Linear index in 1..L of the edge between nodes v and u (1-based)."""
@@ -127,8 +132,8 @@ def vectorize(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError(f"adjacency must be square, got shape {A.shape}")
     V = A.shape[0]
     emap = edge_index_map(V)
-    lower = A[emap.rows0, emap.cols0]
-    upper = A[emap.cols0, emap.rows0]
+    lower = A.T[emap.upper]
+    upper = A[emap.upper]
     if not np.array_equal(lower, upper):
         bad = int(np.flatnonzero(lower != upper)[0])
         v, u = emap.edge_pair(bad + 1)
@@ -150,8 +155,8 @@ def matricize(edges: np.ndarray, V: int | None = None) -> np.ndarray:
     if e.shape[0] != emap.L:
         raise ValueError(f"edge vector length {e.shape[0]} != L={emap.L} for V={V}")
     A = np.zeros((V, V), dtype=e.dtype)
-    A[emap.rows0, emap.cols0] = e
-    A[emap.cols0, emap.rows0] = e
+    A[emap.upper] = e
+    A.T[emap.upper] = e
     return A
 
 

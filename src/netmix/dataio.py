@@ -263,13 +263,13 @@ def _read_edge_list(path, lines: list[str]) -> np.ndarray:
     pairs = _int_table(lines[1:])
     if pairs is None or pairs.shape[1] != 2:
         _edge_list_diagnostic(path, lines[1:], V)
-    a, b = pairs[:, 0], pairs[:, 1]
-    bad = (a == b) | (np.minimum(a, b) < 1) | (np.maximum(a, b) > V)
+    a, b = pairs.T
+    v, u = np.maximum(a, b), np.minimum(a, b)
+    bad = (v == u) | (u < 1) | (v > V)
     if bad.any():
         i = int(np.argmax(bad))
         raise DataFormatError(
             f"{path}: node pair ({a[i]}, {b[i]}) invalid for V={V}")
-    v, u = np.maximum(a, b), np.minimum(a, b)
     # zero-based linear index of (v, u), column-wise down the lower triangle
     edges[(u - 1) * V - u * (u - 1) // 2 + (v - u) - 1] = 1
     return edges
