@@ -12,7 +12,7 @@ from .core import (EdgeIndexMap, MixtureParameters, NetworkObservation,
 from .inference import (AugmentedState, CohortData, PosteriorDraws,
                         SamplerConfig, gibbs_sweep, run_chain)
 from .oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
-from .pg import polya_gamma, polya_gamma_draw
+from .pg import polya_gamma
 from .priors import HyperParameters, log_prior_density, sample_prior
 from .testing import (ClassificationResult, TestReport, classify,
                       compute_test_report, cramers_v, edge_difference,
@@ -29,7 +29,7 @@ __all__ = [
     "AugmentedState", "CohortData", "PosteriorDraws", "SamplerConfig",
     "gibbs_sweep", "run_chain",
     "ExactPmfTable", "enumerate_pmf", "exact_cramers_v",
-    "polya_gamma", "polya_gamma_draw",
+    "polya_gamma",
     "HyperParameters", "log_prior_density", "sample_prior",
     "ClassificationResult", "TestReport", "classify", "compute_test_report",
     "cramers_v", "edge_difference", "evaluate_classifier", "fisher_baseline",

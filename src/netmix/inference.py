@@ -41,7 +41,9 @@ import numpy as np
 from .core import (MixtureParameters, NetworkObservation, _categorical,
                    _check_integers, _component_log_liks, _deviations,
                    _is_binary, edge_index_map)
-from .pg import polya_gamma
+# polya_gamma is not called here, but the benchmark harness
+# (benchmarks/layers.py) looks it up as netmix.inference.polya_gamma
+from .pg import polya_gamma, polya_gamma_sums  # noqa: F401
 from .priors import (HyperParameters, _draw_weights_and_T, _sampler_lam,
                      _theta_shapes, lam_from_theta, log_prior_from_arrays,
                      sample_prior)
@@ -235,21 +237,10 @@ def update_assignments(LL: np.ndarray, nu: np.ndarray, cohort: CohortData,
     return _categorical(np.exp(logpost), rng.random(cohort.n))
 
 
-def _component_sums(x: np.ndarray, assignments: np.ndarray,
-                    H: int) -> np.ndarray:
-    """(H, L) sums of the rows of x (n, L) by component: row h sums the
-    rows i with assignments[i] == h and is zero for an empty component."""
-    sums = np.zeros((H, x.shape[1]))
-    for h in np.unique(assignments):
-        sums[h] = x[assignments == h].sum(axis=0)
-    return sums
-
-
 def _edge_counts(A: np.ndarray, assignments: np.ndarray,
                  components: np.ndarray) -> np.ndarray:
     """(len(components), L) edge counts of the 0/1 rows A (n, L) by
-    component: _component_sums(A, assignments, H)[components] bit for bit,
-    since sums of 0/1 entries are exact in float64 in any order."""
+    component, exact in float64 since the entries are 0 or 1."""
     return (components[:, None] == assignments) @ A
 
 
@@ -262,9 +253,9 @@ def update_omega(S: np.ndarray, assignments: np.ndarray,
     and the assignments, tables only the occupied components' tilts and
     gathers those tables itself; the n L draws are still one exact
     PG(1, .) variable per (subject, edge), accepted by the series test in
-    ratio form."""
-    return _component_sums(polya_gamma(S, rng, assignments), assignments,
-                           S.shape[0])
+    ratio form. They are added into W block by block, subject by subject
+    in ascending order, so no (n, L) omega matrix is formed."""
+    return polya_gamma_sums(S, rng, assignments)
 
 
 def update_Z(D: np.ndarray, W: np.ndarray, cohort: CohortData,

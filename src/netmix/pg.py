@@ -27,17 +27,27 @@ with no arithmetic at all. Only the other ~0.6% of entries compute k and
 the series, on their compacted subset. Proposals are written straight
 into the output rows.
 
-The tilt-only quantities (z, the exponential rate fz and the branch
-probability, which costs two log_ndtr calls) are tabled once per distinct
-tilt: the caller may pass a table c of distinct tilts plus the rows to
-draw from, as the Gibbs sampler does with its (H, L) similarities and the
-subjects' assignments, and only the rows drawn from are tabled. The
-rejection loop walks the output in fixed blocks of whole rows, about
-_BLOCK_ENTRIES entries each, gathering the block's tables; output-sized
-temporaries (a few MiB) would go back to the OS and be faulted in again
-on every call. Each block consumes its own uniforms in turn, so results
-are reproducible given a seeded Generator, the input order and the block
-size.
+The tilt-only quantities (z, the exponential rate fz, the branch
+probability, which costs two log_ndtr calls, and the small-tilt -z^2/2)
+are tabled once per distinct tilt: the caller may pass a table c of
+distinct tilts plus the rows to draw from, as the Gibbs sampler does with
+its (H, L) similarities and the subjects' assignments, and only the rows
+drawn from are tabled. The rejection loop walks the output in fixed
+blocks of whole rows, about _BLOCK_ENTRIES entries each, gathering the
+block's tables and drawing into one block-sized buffer that every block
+reuses; output-sized temporaries (a few MiB) would go back to the OS and
+be faulted in again on every call. Each block consumes its own uniforms
+in turn, so results are reproducible given a seeded Generator, the input
+order and the block size.
+
+One block walk serves both entry points. polya_gamma copies each block,
+scaled by 1/4, into its output. polya_gamma_sums, which the Gibbs sampler
+calls, needs only the sums of the draws by tilt row (by component): it
+adds each block's rows into those sums in ascending output-row (subject)
+order and scales the sums by 0.25 once, after summing. As 0.25 is a
+power of two, that equals summing the scaled draws bit for bit, unless a
+sum falls below the normal range. So the sampler's working memory is one
+block plus the tables, whatever the number of rows.
 
 The loop works on index arrays, not boolean masks. The masks that split a
 block between the two proposal branches, and between accepted and
@@ -45,8 +55,10 @@ rejected entries, are close to random, and numpy's masked copy x[mask]
 costs several times what np.flatnonzero, take and fancy assignment cost
 together on such a mask. So each mask is turned into ascending indices
 once, every proposal is written to the output (a rejected one is
-overwritten in a later round), and the pending entries' tables, like the
-small-tilt -z^2/2, are compacted along with them.
+overwritten in a later round), and the pending entries' tables are
+compacted along with them. A block's first round draws every entry, so
+it writes to the output without index gathers, and a block with no tilt
+at or above 1/t skips the split between the two inverse-Gaussian paths.
 
 The branch probability's log_ndtr is the one special function here that
 numpy lacks. It comes from scipy.special, imported on the first call
@@ -57,7 +69,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["polya_gamma", "polya_gamma_draw"]
+__all__ = ["polya_gamma", "polya_gamma_sums"]
 
 _T = 0.64
 _MAX_SERIES_TERMS = 10_000
@@ -95,29 +107,40 @@ def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + q_over_p)
 
 
-def _rtigauss(z: np.ndarray, rng: np.random.Generator, out: np.ndarray,
+def _rtigauss(z: np.ndarray, neg_half_z2: np.ndarray, split: bool,
+              rng: np.random.Generator, out: np.ndarray,
               dst: np.ndarray) -> None:
     """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized; the
-    draw for z[i] is written to out[dst[i]]."""
+    draw for z[i] is written to out[dst[i]]. neg_half_z2 is -z^2/2 from the
+    clipped tilt; without split every z is below 1/t."""
     # small tilt: the thinned normal tail in u = 1/sqrt(x) > a; u = a + E/rate
     # gives x = t / (1 + c E)^2 and, as rate^2 - a rate = 1, the tail's
     # -(u - rate)^2/2 = -h (E - 1)^2
-    small = np.flatnonzero(z < 1.0 / _T)
-    idx = dst.take(small)
-    neg_half_z2 = -0.5 * z.take(small) ** 2  # compacted along with idx
+    idx = dst
+    if split:
+        small = np.flatnonzero(z < 1.0 / _T)
+        idx, neg_half_z2 = dst.take(small), neg_half_z2.take(small)
     rounds = 0
     while idx.size:
         e = rng.standard_exponential(idx.size)
-        w = 1.0 + _TAIL_C * e
-        x = _T / (w * w)
-        accept = (rng.random(idx.size)
-                  <= np.exp(neg_half_z2 * x - _TAIL_H * (e - 1.0) ** 2))
+        x = _TAIL_C * e
+        x += 1.0
+        x *= x
+        np.divide(_T, x, out=x)
+        e -= 1.0
+        e *= e
+        e *= _TAIL_H
+        log_acc = neg_half_z2 * x
+        log_acc -= e
+        accept = rng.random(idx.size) <= np.exp(log_acc, out=log_acc)
         out[idx] = x  # a rejected entry is overwritten in a later round
         keep = np.flatnonzero(~accept)
         idx, neg_half_z2 = idx.take(keep), neg_half_z2.take(keep)
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("truncated inverse Gaussian sampler stalled")
+    if not split:
+        return
 
     # larger tilt: sample IG(mu, 1) directly, keep draws inside (0, t]
     large = np.flatnonzero(z >= 1.0 / _T)
@@ -169,29 +192,87 @@ def _series_rejects(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
+                neg_half_z2: np.ndarray, split: bool,
                 rng: np.random.Generator, draws: np.ndarray) -> None:
     """Exact J*(1, z) draws for one block, given its tilt tables, written
-    to draws; after a round the tables keep only the pending entries."""
-    pending = np.arange(z.size)
+    to draws; after a round the tables keep only the pending entries. The
+    first round draws every entry, so it indexes draws directly."""
+    pending = None
     rounds = 0
-    while pending.size:
+    while z.size:
         use_exp = rng.random(z.size) < p_exp
         exp_idx, ig_idx = np.flatnonzero(use_exp), np.flatnonzero(~use_exp)
+        exp_dst, ig_dst = ((exp_idx, ig_idx) if pending is None else
+                           (pending.take(exp_idx), pending.take(ig_idx)))
         # a rejected entry is overwritten in a later round
-        draws[pending.take(exp_idx)] = (
-            _T + rng.standard_exponential(exp_idx.size) / fz.take(exp_idx))
-        _rtigauss(z.take(ig_idx), rng, draws, pending.take(ig_idx))
+        x = rng.standard_exponential(exp_idx.size)
+        x /= fz.take(exp_idx)
+        x += _T
+        draws[exp_dst] = x
+        _rtigauss(z.take(ig_idx), neg_half_z2.take(ig_idx), split, rng,
+                  draws, ig_dst)
 
         # the first-term ratio 1 - 3 exp(-2k) is at least _SURE, so only
         # the uniforms above it need the proposal's series
         u = rng.random(z.size)
         unsure = np.flatnonzero(u > _SURE)
-        keep = unsure.take(_series_rejects(draws.take(pending.take(unsure)),
+        unsure_dst = unsure if pending is None else pending.take(unsure)
+        keep = unsure.take(_series_rejects(draws.take(unsure_dst),
                                            u.take(unsure)))
-        pending, z, fz, p_exp = (a.take(keep) for a in (pending, z, fz, p_exp))
+        pending = keep if pending is None else pending.take(keep)
+        z, fz, p_exp, neg_half_z2 = (a.take(keep) for a in
+                                     (z, fz, p_exp, neg_half_z2))
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("rejection sampler stalled")
+
+
+def _tilts(c, rows):
+    """The tilts z = |c|/2 of the rows of c drawn from, as a (rows, entries)
+    table, rows as indices into it, the rows of c it holds and the shape of
+    c[rows]; raises ValueError for non-finite tilts or rows that do not
+    index c."""
+    c = np.asarray(c, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise ValueError("tilt values must be finite")
+    c2 = c.reshape(c.shape[0] if c.ndim else 1, int(np.prod(c.shape[1:])))
+    if rows is None:
+        used = rows = np.arange(c2.shape[0])
+        shape = c.shape
+    else:
+        shape = np.shape(rows) + c.shape[1:]
+        used, rows = np.unique(np.ravel(rows), return_inverse=True)
+        if used.dtype.kind not in "iu" or ((used < 0) | (used >= len(c2))).any():
+            raise ValueError(f"rows must be integers in 0..{len(c2) - 1}")
+        c2 = c2[used]
+    return 0.5 * np.abs(c2), rows, used, shape
+
+
+def _tables(z: np.ndarray):
+    """The tilt-only tables: the exponential rate fz, the exponential
+    branch's probability and -z^2/2, all from the clipped tilt, and which
+    rows hold a tilt at or above 1/t."""
+    zt = np.minimum(z, _Z_MAX)
+    fz = 0.125 * np.pi ** 2 + 0.5 * zt * zt
+    return (fz, _exp_branch_prob(zt, fz), -0.5 * zt ** 2,
+            (z >= 1.0 / _T).any(axis=1))
+
+
+def _blocks(z: np.ndarray, rows: np.ndarray, rng: np.random.Generator):
+    """The block walk of both entry points: yields (start, block, draws) for
+    each block of whole output rows, in order; block holds its rows'
+    indices into the tilt table z and draws their J*(1, z) draws, unscaled,
+    in one buffer that the next block reuses."""
+    fz, p_exp, neg_half_z2, split = _tables(z)
+    step = max(1, _BLOCK_ENTRIES // max(z.shape[1], 1))
+    buf = np.empty((min(step, rows.size), z.shape[1]))
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
+        draws = buf[:block.size]
+        _draw_block(z[block].ravel(), fz[block].ravel(), p_exp[block].ravel(),
+                    neg_half_z2[block].ravel(), bool(split[block].any()), rng,
+                    draws.reshape(-1))
+        yield start, block, draws
 
 
 def polya_gamma(c: np.ndarray, rng: np.random.Generator,
@@ -206,34 +287,27 @@ def polya_gamma(c: np.ndarray, rng: np.random.Generator,
     tables are built only for the rows drawn from. Rows that are not
     integers in 0..len(c) - 1 raise ValueError before anything is drawn.
     """
-    c = np.asarray(c, dtype=np.float64)
-    if not np.isfinite(c).all():
-        raise ValueError("tilt values must be finite")
-    width = int(np.prod(c.shape[1:]))
-    c2 = c.reshape(c.shape[0] if c.ndim else 1, width)
-    if rows is None:
-        shape, rows = c.shape, np.arange(c2.shape[0])
-    else:
-        shape = np.shape(rows) + c.shape[1:]
-        used, rows = np.unique(np.ravel(rows), return_inverse=True)
-        if used.dtype.kind not in "iu" or ((used < 0) | (used >= len(c2))).any():
-            raise ValueError(f"rows must be integers in 0..{len(c2) - 1}")
-        c2 = c2[used]
-    z = 0.5 * np.abs(c2)
-    zt = np.minimum(z, _Z_MAX)
-    fz = 0.125 * np.pi ** 2 + 0.5 * zt * zt
-    p_exp = _exp_branch_prob(zt, fz)
-
-    out = np.empty((rows.size, width))
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
-    for start in range(0, rows.size, step):
-        block = rows[start:start + step]
-        _draw_block(z[block].ravel(), fz[block].ravel(), p_exp[block].ravel(),
-                    rng, out[start:start + step].reshape(-1))
-    out *= 0.25
+    z, rows, _, shape = _tilts(c, rows)
+    out = np.empty((rows.size, z.shape[1]))
+    for start, _, draws in _blocks(z, rows, rng):
+        np.multiply(draws, 0.25, out=out[start:start + len(draws)])
     return out.reshape(shape)
 
 
-def polya_gamma_draw(c: float, rng: np.random.Generator) -> float:
-    """Single PG(1, c) draw."""
-    return float(polya_gamma(np.asarray([c], dtype=np.float64), rng)[0])
+def polya_gamma_sums(c: np.ndarray, rng: np.random.Generator,
+                     rows: np.ndarray) -> np.ndarray:
+    """Sums of the draws of polya_gamma(c, rng, rows) by the row of c each
+    was drawn from: an array of the shape of c whose row h sums the draws
+    i with rows[i] == h and is zero for a row never drawn from.
+
+    It consumes the same random numbers as polya_gamma, and its sums equal
+    those of polya_gamma's draws added row by row in ascending order, bit
+    for bit; only one block of draws exists at a time. Rows are checked as
+    by polya_gamma."""
+    z, rows, used, _ = _tilts(c, rows)
+    sums = np.zeros((np.shape(c)[0], z.shape[1]))
+    for _, block, draws in _blocks(z, rows, rng):
+        for i, h in enumerate(used.take(block).tolist()):
+            sums[h] += draws[i]
+    sums *= 0.25  # a power of two: as if each draw were scaled first
+    return sums.reshape(np.shape(c))

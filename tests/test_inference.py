@@ -1,4 +1,5 @@
 """Gibbs sampler: full conditionals, sweep mechanics, and chain behavior."""
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from scipy.special import betaln, expit, logit
 from scipy.stats import kendalltau
 
-from netmix import inference
+from netmix import inference, pg
 from netmix.core import (MixtureParameters, _component_log_liks,
                          edge_index_map, sample_cohort)
 from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
@@ -227,22 +228,60 @@ def test_omega_uses_assigned_component():
     assert abs(mean[1] - 0.25) < 0.02
 
 
-def test_omega_sums_are_per_component_sums_of_the_draws(monkeypatch):
-    params = _two_level_params(0.3, 0.9, 4, [0.5, 0.5], [0.5, 0.5])
-    G = np.array([1, 0, 1, 1, 0, 1])
-    state = _state_for(params, np.ones((2, 1)), np.zeros((6, 6)), assignments=G)
-    drawn = []
-    pg = inference.polya_gamma
-    monkeypatch.setattr(inference, "polya_gamma",
-                        lambda c, rng, rows: drawn.append(pg(c, rng, rows))
-                        or drawn[-1])
-    W = update_omega(state.Z + state.D, G, np.random.default_rng(8))
-    omega, = drawn
-    assert omega.shape == (6, 6)
-    expected = np.zeros((2, 6))
-    for i in range(6):  # subject by subject, in order
-        expected[G[i]] += omega[i]
+def _subject_sums(x, G, H):
+    """(H, L) sums of the rows of x by component, subject by subject in
+    ascending order; an empty component's row is zero."""
+    sums = np.zeros((H, x.shape[1]))
+    for i, h in enumerate(G):
+        sums[h] += x[i]
+    return sums
+
+
+def _omega_case(name):
+    """(S, G) for the omega sums test: tilts on both sides of 1/t, only
+    small tilts, a single component, or the extremes of the PG tests."""
+    rng = np.random.default_rng(17)
+    if name == "mixed":  # components 1 and 3 empty
+        return rng.normal(0, 3, (4, 50)), rng.choice([0, 2], 200)
+    if name == "small-only":  # |S| < 3 keeps every z below 1/t = 1.5625
+        return rng.uniform(-3, 3, (3, 50)), rng.integers(0, 3, 120)
+    if name == "one-component":
+        return rng.normal(0, 3, (1, 50)), np.zeros(90, dtype=np.intp)
+    S = rng.normal(0, 3, (3, 50))  # the extremes, with both signs
+    extremes = [1e-300, 1e154, 1e200, 1e300, np.finfo(np.float64).max]
+    S[0, :5], S[2, 10:15] = extremes, np.negative(extremes)
+    return S, rng.choice([0, 2], 150)
+
+
+@pytest.mark.parametrize("block", [64, 4096])
+@pytest.mark.parametrize("case", ["mixed", "small-only", "one-component",
+                                  "extreme"])
+def test_omega_sums_equal_the_subject_sums_of_the_draws(monkeypatch, block,
+                                                        case):
+    # rows of 50 entries: one per block at 64, 81 per block at 4096
+    monkeypatch.setattr(pg, "_BLOCK_ENTRIES", block)
+    S, G = _omega_case(case)
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    W = update_omega(S, G, rng_a)
+    expected = _subject_sums(pg.polya_gamma(S, rng_b, G), G, S.shape[0])
     assert np.array_equal(W, expected)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_omega_block_memory_does_not_grow_with_the_subjects():
+    # 456 subjects at L = 2278 (the Desikan edge count): the omega block's
+    # traced peak stays below half of one (n, L) float64 matrix
+    n, L, H = 456, 2278, 15
+    rng = np.random.default_rng(12)
+    S, G = rng.normal(0, 3, (H, L)), rng.integers(0, H, n)
+    update_omega(S[:, :2], G[:2], rng)  # imports scipy.special untraced
+    tracemalloc.start()
+    try:
+        update_omega(S, G, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * L * 8
 
 
 @pytest.mark.parametrize("n,L,H,seed", [(40, 190, 4, 0), (114, 2278, 15, 1),
@@ -252,7 +291,7 @@ def test_edge_counts_equal_the_component_sums(n, L, H, seed):
     rng = np.random.default_rng(seed)
     A = (rng.random((n, L)) < 0.4).astype(np.float64)
     G = rng.integers(0, max(1, H - 2), n)  # the last two components empty
-    sums = inference._component_sums(A, G, H)
+    sums = _subject_sums(A, G, H)
     occupied = np.unique(G)
     assert np.array_equal(inference._edge_counts(A, G, occupied),
                           sums[occupied])
@@ -434,7 +473,7 @@ def _reference_update_factors(Xbar, theta, Z, W, assignments, cohort,
     V, R, H = hyper.V, hyper.R, hyper.H
     shapes = _theta_shapes(hyper)
     n_h = np.bincount(assignments, minlength=H)
-    kappa = (inference._component_sums(cohort.A, assignments, H)
+    kappa = (_subject_sums(cohort.A, assignments, H)
              - 0.5 * n_h[:, None] - Z * W)
     Wm = np.zeros((H, V, V))
     Wm[:, emap.rows0, emap.cols0] = Wm[:, emap.cols0, emap.rows0] = W

@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from netmix import pg
-from netmix.pg import polya_gamma, polya_gamma_draw
+from netmix.pg import polya_gamma, polya_gamma_sums
 
 _ORACLE_TERMS = 10_000
 
@@ -102,9 +102,7 @@ def test_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
-def test_scalar_wrapper_and_validation():
-    x = polya_gamma_draw(0.3, np.random.default_rng(1))
-    assert isinstance(x, float) and x > 0
+def test_non_finite_tilts_are_rejected():
     with pytest.raises(ValueError):
         polya_gamma(np.array([np.nan]), np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -319,17 +317,22 @@ def test_mixed_tilts_in_one_block_equal_the_reference(monkeypatch, block):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("rows", [[-1, -1], [0, 2], [0.0, 1.0], [True, False],
-                                  ["0"]],
-                         ids=["negative", "past-end", "float", "bool", "str"])
-def test_rows_must_index_the_tilt_table(rows):
+_BAD_ROWS = {"negative": [-1, -1], "past-end": [0, 2], "float": [0.0, 1.0],
+             "bool": [True, False], "str": ["0"]}
+
+
+@pytest.mark.parametrize("draw,rows", [
+    pytest.param(draw, rows, id=name + suffix)
+    for draw, suffix in ((polya_gamma, ""), (polya_gamma_sums, "-sums"))
+    for name, rows in _BAD_ROWS.items()])
+def test_rows_must_index_the_tilt_table(draw, rows):
     # unchecked, [-1, -1] would wrap round and draw PG(1, 50) from row 1,
     # and nothing may be drawn before the check
     c = np.array([[0.0, 0.0], [50.0, 50.0]])
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"rows must be integers in 0\.\.1"):
-        polya_gamma(c, rng, rows)
+        draw(c, rng, rows)
     assert rng.bit_generator.state == state
 
 
