@@ -561,15 +561,23 @@ def _drop_stored_lam(path, fields: dict) -> None:
 def _check_draw_values(path, fields: dict) -> None:
     """Reject values that no draw can hold, so that params_at builds every
     draw and no NaN reaches an artifact."""
-    theta, nu, pY1, T, G = (fields[name] for name in
-                            ("theta", "nu", "pY1", "T", "assignments"))
-    H = theta.shape[1]
+    X, theta, nu, pY1, T, G = (fields[name] for name in
+                               ("X", "theta", "nu", "pY1", "T", "assignments"))
+    H, R = theta.shape[1:]
+    # a Gram entry sums R products of scaled factors X sqrt(lam), so each of
+    # those must stay within sqrt(max / R) for the edge log-odds to be finite
+    bound = np.sqrt(np.finfo(np.float64).max / R)
     with np.errstate(all="ignore"):
+        lam = lam_from_theta(theta)
+        lam_ok = (theta > 0).all() and np.isfinite(lam).all()
         checks = (
             ("Z", "must be finite", np.isfinite(fields["Z"]).all()),
-            ("X", "must be finite", np.isfinite(fields["X"]).all()),
-            ("theta", "must be positive and give a finite lam",
-             (theta > 0).all() and np.isfinite(lam_from_theta(theta)).all()),
+            ("X", "must be finite", np.isfinite(X).all()),
+            ("theta", "must be positive and give a finite lam", lam_ok),
+            ("X", f"scaled by sqrt(lam) must lie within {bound:.3g} in "
+                  "absolute value",
+             not lam_ok or (np.maximum(X.max(axis=2), -X.min(axis=2))
+                            * np.sqrt(lam) <= bound).all()),
             ("nu", f"rows must be probability vectors (sums within "
                    f"{_SIMPLEX_TOL:g} of 1)",
              (nu >= 0).all() and np.isfinite(nu).all()

@@ -12,7 +12,8 @@ import pytest
 
 import netmix
 from netmix.cli import run_cli
-from netmix.dataio import load_dataset, load_draws, load_test_report, write_dataset
+from netmix.dataio import (load_dataset, load_draws, load_test_report,
+                           save_draws, write_dataset)
 from netmix.inference import CohortData
 
 SIM_CONFIG = """\
@@ -531,6 +532,28 @@ def test_predict_new_data_node_count_mismatch(workspace, tmp_path, capsys):
                     "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == ("error: cohort node count does not "
                                        "match the fitted draws\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["test", "predict"])
+def test_huge_factor_values_are_one_line_error(workspace, tmp_path, capsys,
+                                               command):
+    # 1e200 is finite, but its square overflows the Gram matrix behind the
+    # edge log-odds; numeric warnings are errors, as in CI
+    draws = load_draws(workspace["archive"])
+    X = draws.X.copy()
+    X[0, 0, 0, 0] = 1e200
+    archive = tmp_path / "huge.bin"
+    save_draws(replace(draws, X=X), archive)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--archive", str(archive),
+                        "--manifest", str(workspace["manifest"]),
+                        "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'X'" in err
     assert not out.exists()
 
 
