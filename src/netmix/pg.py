@@ -248,22 +248,17 @@ def _tilts(c, rows):
     return 0.5 * np.abs(c2), rows, used, shape
 
 
-def _tables(z: np.ndarray):
-    """The tilt-only tables: the exponential rate fz, the exponential
-    branch's probability and -z^2/2, all from the clipped tilt, and which
-    rows hold a tilt at or above 1/t."""
-    zt = np.minimum(z, _Z_MAX)
-    fz = 0.125 * np.pi ** 2 + 0.5 * zt * zt
-    return (fz, _exp_branch_prob(zt, fz), -0.5 * zt ** 2,
-            (z >= 1.0 / _T).any(axis=1))
-
-
 def _blocks(z: np.ndarray, rows: np.ndarray, rng: np.random.Generator):
     """The block walk of both entry points: yields (start, block, draws) for
     each block of whole output rows, in order; block holds its rows'
     indices into the tilt table z and draws their J*(1, z) draws, unscaled,
     in one buffer that the next block reuses."""
-    fz, p_exp, neg_half_z2, split = _tables(z)
+    zt = np.minimum(z, _Z_MAX)
+    fz = 0.125 * np.pi ** 2 + 0.5 * zt * zt
+    p_exp = _exp_branch_prob(zt, fz)
+    neg_half_z2 = -0.5 * zt ** 2
+    del zt  # the walk holds only the tables it reads
+    split = (z >= 1.0 / _T).any(axis=1)  # the rows with a large tilt
     step = max(1, _BLOCK_ENTRIES // max(z.shape[1], 1))
     buf = np.empty((min(step, rows.size), z.shape[1]))
     for start in range(0, rows.size, step):
