@@ -227,7 +227,7 @@ def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
             raise RuntimeError("rejection sampler stalled")
 
 
-def _tilts(c, rows):
+def _tilts(c: np.ndarray, rows: np.ndarray | None):
     """The tilts z = |c|/2 of the rows of c drawn from, as a (rows, entries)
     table, rows as indices into it, the rows of c it holds and the shape of
     c[rows]; raises ValueError for non-finite tilts or rows that do not
