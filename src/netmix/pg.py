@@ -46,7 +46,7 @@ calls, needs only the sums of the draws by tilt row (by component): it
 adds each block's rows into those sums in ascending output-row (subject)
 order and scales the sums by 0.25 once, after summing. As 0.25 is a
 power of two, that equals summing the scaled draws bit for bit, unless a
-sum falls below the normal range. So the sampler's working memory is one
+draw scaled by 1/4 is subnormal (tilts beyond ~1e307). So the sampler's working memory is one
 block plus the tables, whatever the number of rows.
 
 The loop works on index arrays, not boolean masks. The masks that split a
@@ -57,8 +57,7 @@ together on such a mask. So each mask is turned into ascending indices
 once, every proposal is written to the output (a rejected one is
 overwritten in a later round), and the pending entries' tables are
 compacted along with them. A block's first round draws every entry, so
-it writes to the output without index gathers, and a block with no tilt
-at or above 1/t skips the split between the two inverse-Gaussian paths.
+it writes to the output without index gathers.
 
 The branch probability's log_ndtr is the one special function here that
 numpy lacks. It comes from scipy.special, imported on the first call
@@ -107,19 +106,17 @@ def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + q_over_p)
 
 
-def _rtigauss(z: np.ndarray, neg_half_z2: np.ndarray, split: bool,
+def _rtigauss(z: np.ndarray, neg_half_z2: np.ndarray,
               rng: np.random.Generator, out: np.ndarray,
               dst: np.ndarray) -> None:
     """Inverse Gaussian IG(1/z, 1) truncated to (0, t], vectorized; the
     draw for z[i] is written to out[dst[i]]. neg_half_z2 is -z^2/2 from the
-    clipped tilt; without split every z is below 1/t."""
+    clipped tilt."""
     # small tilt: the thinned normal tail in u = 1/sqrt(x) > a; u = a + E/rate
     # gives x = t / (1 + c E)^2 and, as rate^2 - a rate = 1, the tail's
     # -(u - rate)^2/2 = -h (E - 1)^2
-    idx = dst
-    if split:
-        small = np.flatnonzero(z < 1.0 / _T)
-        idx, neg_half_z2 = dst.take(small), neg_half_z2.take(small)
+    small = np.flatnonzero(z < 1.0 / _T)
+    idx, neg_half_z2 = dst.take(small), neg_half_z2.take(small)
     rounds = 0
     while idx.size:
         e = rng.standard_exponential(idx.size)
@@ -139,8 +136,6 @@ def _rtigauss(z: np.ndarray, neg_half_z2: np.ndarray, split: bool,
         rounds += 1
         if rounds > _MAX_REJECTION_ROUNDS:  # pragma: no cover
             raise RuntimeError("truncated inverse Gaussian sampler stalled")
-    if not split:
-        return
 
     # larger tilt: sample IG(mu, 1) directly, keep draws inside (0, t]
     large = np.flatnonzero(z >= 1.0 / _T)
@@ -192,8 +187,8 @@ def _series_rejects(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
-                neg_half_z2: np.ndarray, split: bool,
-                rng: np.random.Generator, draws: np.ndarray) -> None:
+                neg_half_z2: np.ndarray, rng: np.random.Generator,
+                draws: np.ndarray) -> None:
     """Exact J*(1, z) draws for one block, given its tilt tables, written
     to draws; after a round the tables keep only the pending entries. The
     first round draws every entry, so it indexes draws directly."""
@@ -209,8 +204,8 @@ def _draw_block(z: np.ndarray, fz: np.ndarray, p_exp: np.ndarray,
         x /= fz.take(exp_idx)
         x += _T
         draws[exp_dst] = x
-        _rtigauss(z.take(ig_idx), neg_half_z2.take(ig_idx), split, rng,
-                  draws, ig_dst)
+        _rtigauss(z.take(ig_idx), neg_half_z2.take(ig_idx), rng, draws,
+                  ig_dst)
 
         # the first-term ratio 1 - 3 exp(-2k) is at least _SURE, so only
         # the uniforms above it need the proposal's series
@@ -258,15 +253,13 @@ def _blocks(z: np.ndarray, rows: np.ndarray, rng: np.random.Generator):
     p_exp = _exp_branch_prob(zt, fz)
     neg_half_z2 = -0.5 * zt ** 2
     del zt  # the walk holds only the tables it reads
-    split = (z >= 1.0 / _T).any(axis=1)  # the rows with a large tilt
     step = max(1, _BLOCK_ENTRIES // max(z.shape[1], 1))
     buf = np.empty((min(step, rows.size), z.shape[1]))
     for start in range(0, rows.size, step):
         block = rows[start:start + step]
         draws = buf[:block.size]
         _draw_block(z[block].ravel(), fz[block].ravel(), p_exp[block].ravel(),
-                    neg_half_z2[block].ravel(), bool(split[block].any()), rng,
-                    draws.reshape(-1))
+                    neg_half_z2[block].ravel(), rng, draws.reshape(-1))
         yield start, block, draws
 
 
@@ -297,7 +290,8 @@ def polya_gamma_sums(c: np.ndarray, rng: np.random.Generator,
 
     It consumes the same random numbers as polya_gamma, and its sums equal
     those of polya_gamma's draws added row by row in ascending order, bit
-    for bit; only one block of draws exists at a time. Rows are checked as
+    for bit unless a draw scaled by 1/4 is subnormal (tilts beyond
+    ~1e307); only one block of draws exists at a time. Rows are checked as
     by polya_gamma."""
     z, rows, used, _ = _tilts(c, rows)
     sums = np.zeros((np.shape(c)[0], z.shape[1]))
