@@ -13,7 +13,7 @@ from .inference import (AugmentedState, CohortData, PosteriorDraws,
                         SamplerConfig, gibbs_sweep, run_chain)
 from .oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
 from .pg import polya_gamma
-from .priors import HyperParameters, log_prior_density, sample_prior
+from .priors import HyperParameters, sample_prior
 from .testing import (ClassificationResult, TestReport, classify,
                       compute_test_report, cramers_v, edge_difference,
                       evaluate_classifier, fisher_baseline, global_test,
@@ -30,7 +30,7 @@ __all__ = [
     "gibbs_sweep", "run_chain",
     "ExactPmfTable", "enumerate_pmf", "exact_cramers_v",
     "polya_gamma",
-    "HyperParameters", "log_prior_density", "sample_prior",
+    "HyperParameters", "sample_prior",
     "ClassificationResult", "TestReport", "classify", "compute_test_report",
     "cramers_v", "edge_difference", "evaluate_classifier", "fisher_baseline",
     "global_test", "local_test", "test_degree",

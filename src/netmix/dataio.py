@@ -561,38 +561,44 @@ def _drop_stored_lam(path, fields: dict) -> None:
 def _check_draw_values(path, fields: dict) -> None:
     """Reject values that no draw can hold, so that params_at builds every
     draw and no NaN reaches an artifact."""
-    X, theta, nu, pY1, T, G = (fields[name] for name in
-                               ("X", "theta", "nu", "pY1", "T", "assignments"))
+    Z, X, theta, nu, pY1, T, G = (fields[name] for name in
+                                  ("Z", "X", "theta", "nu", "pY1", "T",
+                                   "assignments"))
     H, R = theta.shape[1:]
-    # a Gram entry sums R products of scaled factors X sqrt(lam), so each of
-    # those must stay within sqrt(max / R) for the edge log-odds to be finite
-    bound = np.sqrt(np.finfo(np.float64).max / R)
+    # an edge log-odds is Z plus a Gram entry, a sum of R products of scaled
+    # factors X sqrt(lam), and later sums add up to L of them, so
+    # max|Z| + R max|X sqrt(lam)|^2 must stay within float max / L
+    bound = np.finfo(np.float64).max / Z.shape[1]
     with np.errstate(all="ignore"):
         lam = lam_from_theta(theta)
         lam_ok = (theta > 0).all() and np.isfinite(lam).all()
+        scaled = np.maximum(X.max(axis=2), -X.min(axis=2)) * np.sqrt(lam)
+        log_odds = (np.maximum(Z.max(axis=1), -Z.min(axis=1))
+                    + R * scaled.max(axis=(1, 2)) ** 2)
         checks = (
-            ("Z", "must be finite", np.isfinite(fields["Z"]).all()),
-            ("X", "must be finite", np.isfinite(X).all()),
-            ("theta", "must be positive and give a finite lam", lam_ok),
-            ("X", f"scaled by sqrt(lam) must lie within {bound:.3g} in "
-                  "absolute value",
-             not lam_ok or (np.maximum(X.max(axis=2), -X.min(axis=2))
-                            * np.sqrt(lam) <= bound).all()),
-            ("nu", f"rows must be probability vectors (sums within "
-                   f"{_SIMPLEX_TOL:g} of 1)",
+            ("array 'Z'", "must be finite", np.isfinite(Z).all()),
+            ("array 'X'", "must be finite", np.isfinite(X).all()),
+            ("array 'theta'", "must be positive and give a finite lam", lam_ok),
+            ("arrays 'Z' and 'X'", "give edge log-odds beyond float max / L: "
+                                   "max|Z| + R max|X sqrt(lam)|^2 must stay "
+                                   f"within {bound:.3g}",
+             not lam_ok or (log_odds <= bound).all()),
+            ("array 'nu'", f"rows must be probability vectors (sums within "
+                           f"{_SIMPLEX_TOL:g} of 1)",
              (nu >= 0).all() and np.isfinite(nu).all()
              and (np.abs(nu.sum(axis=2) - 1.0) <= _SIMPLEX_TOL).all()),
-            ("T", "must be 0 or 1", ((T == 0) | (T == 1)).all()),
-            ("nu", "rows must be equal where T = 0",
+            ("array 'T'", "must be 0 or 1", ((T == 0) | (T == 1)).all()),
+            ("array 'nu'", "rows must be equal where T = 0",
              (nu[T == 0, 0] == nu[T == 0, 1]).all()),
-            ("pY1", "must lie in (0, 1)", ((pY1 > 0) & (pY1 < 1)).all()),
-            ("assignments", f"must lie in 0..{H - 1}", ((G >= 0) & (G < H)).all()),
-            ("log_joint_trace", "must be finite",
+            ("array 'pY1'", "must lie in (0, 1)", ((pY1 > 0) & (pY1 < 1)).all()),
+            ("array 'assignments'", f"must lie in 0..{H - 1}",
+             ((G >= 0) & (G < H)).all()),
+            ("array 'log_joint_trace'", "must be finite",
              np.isfinite(fields["log_joint_trace"]).all()),
         )
-    for name, what, ok in checks:
+    for subject, what, ok in checks:
         if not ok:
-            raise ArchiveError(f"{path}: array {name!r} {what}")
+            raise ArchiveError(f"{path}: {subject} {what}")
 
 
 def load_draws_meta(path) -> dict:

@@ -28,7 +28,7 @@ the series, on their compacted subset. Proposals are written straight
 into the output rows.
 
 The tilt-only quantities (z, the exponential rate fz, the branch
-probability, which costs two log_ndtr calls, and the small-tilt -z^2/2)
+probability, which costs two erfcx values, and the small-tilt -z^2/2)
 are tabled once per distinct tilt: the caller may pass a table c of
 distinct tilts plus the rows to draw from, as the Gibbs sampler does with
 its (H, L) similarities and the subjects' assignments, and only the rows
@@ -59,10 +59,13 @@ overwritten in a later round), and the pending entries' tables are
 compacted along with them. A block's first round draws every entry, so
 it writes to the output without index gathers.
 
-The branch probability's log_ndtr is the one special function here that
-numpy lacks. It comes from scipy.special, imported on the first call
-rather than with the module: importing scipy.special costs a few hundred
-milliseconds, and of the CLI commands only fit draws PG variables.
+Branch probability. The left piece's mass carries two normal CDFs, and
+written through erfcx(y) = exp(y^2) erfc(y) their Gaussian factors cancel
+the exponentials around them, leaving q/p in closed form in two erfcx
+values. numpy has no erfcx, so _erfcx evaluates Cephes' rational
+approximations (after Cody 1969) in three ranges, with a reflection for
+negative arguments; this keeps scipy, whose import costs a few hundred
+milliseconds, out of every fit.
 """
 from __future__ import annotations
 
@@ -90,20 +93,156 @@ _TAIL_H = 0.5 / _TAIL_RATE ** 2
 _SURE = 1.0 - 3.0 * np.exp(-4.0 / _T) - 1e-12
 
 
-def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
-    """Probability of proposing from the exponential (x > t) branch."""
-    from scipy.special import log_ndtr  # slow to import; only fit gets here
+# erfcx(y) = exp(y^2) erfc(y) from the rational approximations of Cephes'
+# ndtr.c (Moshier), which follow Cody (1969); coefficients highest power
+# first. |y| < 1, by way of erf: erf(y) = y P(y^2) / Q(y^2)
+_ERF_P = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_Q = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+# 1 <= y < 8: erfcx(y) = P(y) / Q(y)
+_ERFCX_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+            7.46321056442269912687e0, 4.86371970985681366614e1,
+            1.96520832956077098242e2, 5.26445194995477358631e2,
+            9.34528527171957607540e2, 1.02755188689515710272e3,
+            5.57535335369399327526e2)
+_ERFCX_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+            3.54937778887819891062e2, 9.75708501743205489753e2,
+            1.82390916687909736289e3, 2.24633760818710981792e3,
+            1.65666309194161350182e3, 5.57535340817727675546e2)
+# y >= 8: erfcx(y) = w P(w) / Q(w) at w = 1/y, Cephes' degree-5 over
+# degree-6 fraction in y with both parts divided by y^6, so no power of a
+# huge y overflows
+_ERFCX_TAIL_P = (2.97886665372100240670e0, 7.40974269950448939160e0,
+                 6.16021097993053585195e0, 5.01905042251180477414e0,
+                 1.27536670759978104416e0, 5.64189583547755073984e-1)
+_ERFCX_TAIL_Q = (3.36907645100081516050e0, 9.60896809063285878198e0,
+                 1.70814450747565897222e1, 1.20489539808096656605e1,
+                 9.39603524938001434673e0, 2.26052863220117276590e0, 1.0)
+# the branch probability's arguments y-+ = (1 -+ t z) / sqrt(2t); below
+# _Z_ERF every y- lies in (-1, 1] and every y+ in [0, 8)
+_Y_AT_0 = 1.0 / np.sqrt(2.0 * _T)
+_Y_SLOPE = _T * _Y_AT_0
+_Z_ERF = (1.0 + np.sqrt(2.0 * _T)) / _T
+# q/p = _Q_SCALE fz (erfcx(y-) + erfcx(y+)): (4/pi) e^{t pi^2/8 - 1/(2t)} / 2
+_Q_SCALE = (2.0 / np.pi) * np.exp(_T * np.pi ** 2 / 8.0 - 0.5 / _T)
 
-    rt = np.sqrt(1.0 / _T)
-    x0 = np.log(fz) + fz * _T
-    b = rt * (_T * z - 1.0)
-    a = -rt * (_T * z + 1.0)
-    # exp can overflow for huge z; the resulting inf maps to probability 0,
-    # which is the correct limit (mass concentrates left of t)
+
+def _poly(coef: tuple, x: np.ndarray) -> np.ndarray:
+    """coef[0] x^k + ... + coef[k] by Horner's rule, in place on one new
+    array: on a few hundred entries numpy's per-call cost, not the
+    arithmetic, dominates, so a leading 1 costs no multiply."""
+    if coef[0] == 1.0:
+        acc = x + coef[1]
+    else:
+        acc = x * coef[0]
+        acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _fraction(p: tuple, q: tuple, x: np.ndarray) -> np.ndarray:
+    """P(x) / Q(x) for coefficient tuples p and q, as _poly takes them."""
+    out = _poly(p, x)
+    out /= _poly(q, x)
+    return out
+
+
+def _erfcx_erf(x: np.ndarray) -> np.ndarray:
+    """erfcx(x) = exp(x^2) (1 - erf(x)) for |x| <= 1."""
+    u = x * x
+    e = _poly(_ERF_P, u)
+    e *= x
+    q = _poly(_ERF_Q, u)
+    np.subtract(q, e, out=e)
+    e /= q
+    e *= np.exp(u, out=u)
+    return e
+
+
+def _erfcx(y: np.ndarray, y2: np.ndarray | None = None) -> np.ndarray:
+    """exp(y^2) erfc(y) for a 1-d float64 array y, to a relative error of a
+    few 1e-16 but for the exp(y^2) of a negative y, which inherits the
+    rounding of y^2: a caller that has y^2 rounded less passes it as y2.
+    inf where exp(y^2) overflows (y below about -26.6)."""
+    a = np.abs(y)
+    out = np.empty_like(y)
+    i = np.flatnonzero(a < 1.0)
+    if i.size:
+        out[i] = _erfcx_erf(y.take(i))
+    i = np.flatnonzero((a >= 1.0) & (a < 8.0))
+    if i.size:
+        out[i] = _fraction(_ERFCX_P, _ERFCX_Q, a.take(i))
+    i = np.flatnonzero(a >= 8.0)
+    if i.size:
+        w = np.divide(1.0, a.take(i))
+        out[i] = w * _fraction(_ERFCX_TAIL_P, _ERFCX_TAIL_Q, w)
+    # the reflection erfcx(-x) = 2 exp(x^2) - erfcx(x)
+    i = np.flatnonzero(y <= -1.0)
+    if i.size:
+        x = np.square(y.take(i)) if y2 is None else y2.take(i)
+        with np.errstate(over="ignore"):
+            out[i] = 2.0 * np.exp(x) - out.take(i)
+    return out
+
+
+def _erfcx_pair_sum(z: np.ndarray) -> np.ndarray:
+    """erfcx(y-) + erfcx(y+) for a 1-d array of tilts z.
+
+    Below _Z_ERF, where almost every tilt of a chain lies, the erf route
+    serves every y- and the y+ below 1, and the middle fraction the other
+    y+, in whole-array passes with no index gathers: on a few hundred tilts
+    each numpy call costs more than its arithmetic. The tilts from _Z_ERF
+    on are redone by _erfcx."""
+    tz = z * _Y_SLOPE
+    y = np.empty((2, z.size))
+    np.subtract(_Y_AT_0, tz, out=y[0])
+    np.add(_Y_AT_0, tz, out=y[1])
+    x = np.minimum(y, 1.0)
+    mid = np.maximum(y[1], 1.0)
+    redo = z.max() >= _Z_ERF
+    if redo:  # keeps the passes finite on the entries redone below
+        np.maximum(x, -1.0, out=x)
+        np.minimum(mid, 8.0, out=mid)
+    e = _erfcx_erf(x)
+    s = _fraction(_ERFCX_P, _ERFCX_Q, mid)
+    np.copyto(s, e[1], where=y[1] < 1.0)
+    s += e[0]
+    if redo:
+        # y-+^2 = 1/(2t) -+ z + t z^2 / 2 rounds less than y * y
+        i = np.flatnonzero(z >= _Z_ERF)
+        zi = z.take(i)
+        c = 0.5 / _T + (0.5 * _T) * (zi * zi)
+        e = _erfcx(y.take(i, axis=1).reshape(-1),
+                   np.concatenate([c - zi, c + zi])).reshape(2, -1)
+        s[i] = e[0] + e[1]
+    return s
+
+
+def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """Probability p of proposing from the exponential (x > t) branch,
+    evaluated in chunks of _BLOCK_ENTRIES / 8 tilts to bound its memory.
+
+    The left piece's two terms exp(x0 -+ z) Phi(b-+), Phi(b) =
+    erfcx(-b/sqrt(2)) exp(-b^2/2) / 2, lose their exponentials to each
+    other: q/p = _Q_SCALE fz (erfcx(y-) + erfcx(y+)). For huge z the
+    erfcx(y-) term, or its product with fz, overflows to inf and p is 0,
+    the correct limit: the mass concentrates left of t."""
+    zf = z.reshape(-1)
+    q_over_p = np.empty(z.shape)
+    qf = q_over_p.reshape(-1)
+    step = max(1, _BLOCK_ENTRIES // 8)
+    for start in range(0, zf.size, step):
+        qf[start:start + step] = _erfcx_pair_sum(zf[start:start + step])
     with np.errstate(over="ignore"):
-        q_over_p = (4.0 / np.pi) * (np.exp(x0 - z + log_ndtr(b))
-                                    + np.exp(x0 + z + log_ndtr(a)))
-    return 1.0 / (1.0 + q_over_p)
+        q_over_p *= fz
+    q_over_p *= _Q_SCALE
+    q_over_p += 1.0
+    return np.divide(1.0, q_over_p, out=q_over_p)
 
 
 def _rtigauss(z: np.ndarray, neg_half_z2: np.ndarray,

@@ -8,9 +8,9 @@ stochastically shrinks higher columns toward zero. Mixing weights are
 Dirichlet, either shared across groups (T=0) or group-specific (T=1), and
 the group prevalence pY1 is Beta(a1, a0).
 
-The densities' gammaln comes from scipy.special, imported in the functions
-that call it: importing scipy.special costs a few hundred milliseconds, and
-of the CLI commands only fit evaluates a prior density.
+The densities' log Gamma terms come from math.lgamma, entry by entry: they
+only ever take scalars and vectors of length H or R, and importing
+scipy.special for them would cost a fit a few hundred milliseconds.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "HyperParameters",
     "lam_from_theta",
     "sample_prior",
-    "log_prior_density",
     "log_prior_from_arrays",
     "mixing_weights_log_prior",
 ]
@@ -120,11 +119,11 @@ def sample_prior(hyper: HyperParameters,
 
 
 def _log_dirichlet_multinomial(counts: np.ndarray, conc: float) -> float:
-    from scipy.special import gammaln
-    H = counts.shape[0]
-    N = counts.sum()
-    return float(gammaln(H * conc) - gammaln(H * conc + N)
-                 + np.sum(gammaln(conc + counts) - gammaln(conc)))
+    lg = math.lgamma
+    counts = counts.tolist()
+    H, N, g = len(counts), sum(counts), lg(conc)
+    return (lg(H * conc) - lg(H * conc + N)
+            + sum(lg(conc + c) - g for c in counts))
 
 
 def _draw_weights_and_T(counts: np.ndarray, hyper: HyperParameters,
@@ -157,8 +156,8 @@ def _dirichlet_log_pdf(w: np.ndarray, alpha: np.ndarray) -> float:
     # -inf on the simplex boundary by the usual density convention
     if (w <= 0.0).any():
         return float("-inf")
-    from scipy.special import gammaln
-    return float(gammaln(alpha.sum()) - gammaln(alpha).sum()
+    return float(math.lgamma(alpha.sum())
+                 - sum(map(math.lgamma, alpha.tolist()))
                  + ((alpha - 1.0) * np.log(w)).sum())
 
 
@@ -184,38 +183,16 @@ def mixing_weights_log_prior(nu: np.ndarray, T: int,
     raise ValueError(f"T must be 0 or 1, got {T!r}")
 
 
-def log_prior_density(params: MixtureParameters, theta: np.ndarray,
-                      hyper: HyperParameters) -> float:
-    """Joint log prior density of a full parameter state.
-
-    theta must be consistent with the stored lambda values
-    (lambda = lam_from_theta(theta) within 1e-8 relative tolerance);
-    inconsistent pairs raise because they do not identify a single state.
-    """
-    if params.V != hyper.V or params.H != hyper.H or params.R != hyper.R:
-        raise ValueError("parameter dimensions do not match hyperparameters")
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (hyper.H, hyper.R):
-        raise ValueError(f"theta must be (H, R)={hyper.H, hyper.R}")
-    if (theta <= 0.0).any():
-        raise ValueError("theta entries must be positive")
-    if not np.allclose(params.lam, lam_from_theta(theta), rtol=1e-8, atol=1e-12):
-        raise ValueError("lambda inconsistent with cumprod(1/theta)")
-
-    return log_prior_from_arrays(params.Z, params.X, theta, params.nu,
-                                 params.pY1, params.T, hyper)
-
-
 def log_prior_from_arrays(Z: np.ndarray, X: np.ndarray, theta: np.ndarray,
                           nu: np.ndarray, pY1: float, T: int,
                           hyper: HyperParameters) -> float:
-    """Unchecked log_prior_density of a state given as arrays: X (H, V, R),
-    theta (H, R), which fixes lambda, and nu (2, H)."""
-    from scipy.special import gammaln
+    """Joint log prior density of a state given as arrays: X (H, V, R),
+    theta (H, R), which fixes lambda, and nu (2, H); unchecked."""
+    lg = math.lgamma
     lp = 0.0
     # pY1 ~ Beta(a1, a0); Beta(x; a, b) on pY1 with a = a1 pairing group 1
     a, b = hyper.a1, hyper.a0
-    lp += float(gammaln(a + b) - gammaln(a) - gammaln(b)
+    lp += float(lg(a + b) - lg(a) - lg(b)
                 + (a - 1.0) * np.log(pY1)
                 + (b - 1.0) * np.log1p(-pY1))
     # Z iid normal
@@ -227,7 +204,7 @@ def log_prior_from_arrays(Z: np.ndarray, X: np.ndarray, theta: np.ndarray,
     # theta: independent gammas, rate 1
     shapes = _theta_shapes(hyper)
     lp += float(np.sum((shapes - 1.0) * np.log(theta) - theta
-                       - gammaln(shapes)))
+                       - np.array([lg(s) for s in shapes.tolist()])))
     # mixing weights and dependence indicator
     lp += mixing_weights_log_prior(nu, T, hyper)
     return lp

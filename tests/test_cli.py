@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import netmix
@@ -15,6 +16,7 @@ from netmix.cli import run_cli
 from netmix.dataio import (load_dataset, load_draws, load_test_report,
                            save_draws, write_dataset)
 from netmix.inference import CohortData
+from netmix.priors import lam_from_theta
 
 SIM_CONFIG = """\
 scenario = clique
@@ -557,6 +559,33 @@ def test_huge_factor_values_are_one_line_error(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["test", "predict"])
+@pytest.mark.parametrize("z,nodes", [(1e308, 2), (0.0, 3)],
+                         ids=["huge-Z-two-nodes", "three-nodes"])
+def test_log_odds_near_float_max_are_one_line_error(workspace, tmp_path,
+                                                    capsys, command, z, nodes):
+    # each entry is finite and each scaled factor passes sqrt(max / R), but
+    # Z plus the Gram entry, or a sum of L such log-odds, overflows; numeric
+    # warnings are errors, as in CI
+    draws = load_draws(workspace["archive"])
+    Z, X = draws.Z.copy(), draws.X.copy()
+    Z[0] = z
+    lam = lam_from_theta(draws.theta[0])  # (H, R), R = 1
+    X[0, :, :nodes, 0] = 1.3e154 / np.sqrt(lam[:, None, 0])
+    archive = tmp_path / "huge.bin"
+    save_draws(replace(draws, Z=Z, X=X), archive)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--archive", str(archive),
+                        "--manifest", str(workspace["manifest"]),
+                        "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'Z' and 'X'" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- report
 
 
@@ -717,28 +746,30 @@ from netmix.cli import run_cli
 assert not scipy_modules(), scipy_modules()
 root, archive, manifest, fit_cfg = map(Path, sys.argv[1:])
 (root / "sim.cfg").write_text("scenario = shifted\\nv = 6\\nn0 = 3\\nn1 = 3\\n")
+(root / "prior.cfg").write_text("scenario = prior\\nv = 6\\nn0 = 3\\nn1 = 3\\n")
 new = str(root / "new" / "manifest.csv")
 out = str(root / "out")
 for argv in (
         ["simulate", "--config", str(root / "sim.cfg"),
          "--out-dir", str(root / "new")],
+        ["simulate", "--config", str(root / "prior.cfg"),
+         "--out-dir", str(root / "prior")],
+        ["fit", "--manifest", new, "--config", str(fit_cfg),
+         "--out-dir", str(root / "fit")],
         ["test", "--archive", str(archive), "--out-dir", out],
         ["predict", "--archive", str(archive), "--manifest", str(manifest),
          "--new-data", new, "--out-dir", out],
         ["report", "--out-dir", out, "--archive", str(archive)]):
     assert run_cli(argv) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules())
-assert run_cli(["fit", "--manifest", new, "--config", str(fit_cfg),
-                "--out-dir", str(root / "fit")]) == 0
-assert "scipy.special" in sys.modules
 """
 
 
-def test_cli_commands_other_than_fit_load_no_scipy(workspace, tmp_path):
+def test_cli_commands_load_no_scipy(workspace, tmp_path):
     # importing scipy.special takes a few hundred milliseconds and
-    # scipy.stats most of a second; only fit (PG draws, prior densities)
-    # and the Fisher baseline need them, so simulate, test, predict and
-    # report run without scipy, here all in one fresh interpreter
+    # scipy.stats most of a second; only the Fisher baseline needs them, so
+    # every command, fit and a prior-draw simulate included, runs without
+    # scipy, here all in one fresh interpreter
     run = subprocess.run([sys.executable, "-c", _SCIPY_FREE_COMMANDS,
                           str(tmp_path), str(workspace["archive"]),
                           str(workspace["manifest"]), str(workspace["fit_cfg"])],

@@ -277,7 +277,7 @@ def test_omega_block_memory_does_not_grow_with_the_subjects():
     n, L, H = 456, 2278, 15
     rng = np.random.default_rng(12)
     S, G = rng.normal(0, 3, (H, L)), rng.integers(0, H, n)
-    update_omega(S[:, :2], G[:2], rng)  # imports scipy.special untraced
+    update_omega(S[:, :2], G[:2], rng)  # one-time allocations stay untraced
     tracemalloc.start()
     try:
         update_omega(S, G, rng)

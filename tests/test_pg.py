@@ -7,6 +7,7 @@ removes ~1/(2 pi^2 K) of the mean, invisible at these sample sizes.
 """
 import numpy as np
 import pytest
+from scipy.special import erfcx, log_ndtr
 from scipy.stats import ks_2samp
 
 from netmix import pg
@@ -120,6 +121,42 @@ def test_first_term_squeeze_bound_lies_below_the_ratio():
     left = np.linspace(0.05, pg._T, 100_001)
     x = np.concatenate([left, np.nextafter(left + pg._T - 0.05, np.inf)])
     assert pg._series_rejects(x, np.full(x.size, pg._SURE)).size == 0
+
+
+def test_erfcx_matches_scipy():
+    # every range: the erf route, the middle and tail fractions and the
+    # reflection, up to the largest argument the tilt tables give
+    y = np.concatenate([np.linspace(-26.0, 1000.0, 400_001),
+                        np.logspace(3, 150, 1000)])
+    assert np.max(np.abs(pg._erfcx(y) / erfcx(y) - 1.0)) <= 4e-15
+    with np.errstate(over="ignore"):
+        assert (pg._erfcx(np.array([-27.0, -1e150])) == np.inf).all()
+
+
+def _log_ndtr_branch_prob(z, fz):
+    """The branch probability through scipy's log_ndtr, term by term."""
+    rt = np.sqrt(1.0 / pg._T)
+    x0 = np.log(fz) + fz * pg._T
+    b = rt * (pg._T * z - 1.0)
+    a = -rt * (pg._T * z + 1.0)
+    with np.errstate(over="ignore"):
+        q_over_p = (4.0 / np.pi) * (np.exp(x0 - z + log_ndtr(b))
+                                    + np.exp(x0 + z + log_ndtr(a)))
+    return 1.0 / (1.0 + q_over_p)
+
+
+def test_branch_probability_matches_the_log_ndtr_formula(monkeypatch):
+    z = np.concatenate([np.linspace(0.0, 60.0, 120_001),
+                        np.logspace(-300, np.log10(pg._Z_MAX), 3001)])
+    fz = 0.125 * np.pi ** 2 + 0.5 * z * z
+    p, expected = pg._exp_branch_prob(z, fz), _log_ndtr_branch_prob(z, fz)
+    rel = np.abs(p - expected) / np.where(expected > 0.0, expected, 1.0)
+    assert rel[z <= 5.0].max() <= 4e-15
+    assert rel[z <= 45.0].max() <= 1e-12
+    assert (p[expected == 0.0] == 0.0).all() and p.min() >= 0.0
+    # chunks of 8 tilts give the same bits
+    monkeypatch.setattr(pg, "_BLOCK_ENTRIES", 64)
+    assert np.array_equal(pg._exp_branch_prob(z, fz), p)
 
 
 # ------------------------------------------------- distinct tilts, blocks

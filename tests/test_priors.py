@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
 from scipy.stats import dirichlet, gamma, norm
 
-from netmix.core import MixtureParameters, joint_log_pmf, sample_joint_cohort
-from netmix.priors import (HyperParameters, log_prior_density,
+from netmix.core import joint_log_pmf, sample_joint_cohort
+from netmix.priors import (HyperParameters, log_prior_from_arrays,
                            mixing_weights_log_prior, sample_prior)
 
 
@@ -131,8 +131,10 @@ def test_log_prior_density_matches_scipy():
     else:
         expected += (np.log1p(-hyper.prior_T1)
                      + dirichlet.logpdf(params.nu[0], alpha))
-    assert np.isclose(log_prior_density(params, theta, hyper), expected,
-                      atol=1e-9, rtol=0)
+    assert np.isclose(log_prior_from_arrays(params.Z, params.X, theta,
+                                            params.nu, params.pY1, params.T,
+                                            hyper),
+                      expected, atol=1e-9, rtol=0)
 
 
 def test_log_prior_density_column_sign_flip_invariant():
@@ -140,23 +142,9 @@ def test_log_prior_density_column_sign_flip_invariant():
     params, theta = sample_prior(hyper, np.random.default_rng(5))
     Xf = params.X.copy()
     Xf[0, :, 1] = -Xf[0, :, 1]
-    flipped = MixtureParameters(
-        Z=params.Z, X=Xf, lam=params.lam,
-        nu=params.nu, pY1=params.pY1, T=params.T)
-    a = log_prior_density(params, theta, hyper)
-    b = log_prior_density(flipped, theta, hyper)
+    a, b = (log_prior_from_arrays(params.Z, X, theta, params.nu, params.pY1,
+                                  params.T, hyper) for X in (params.X, Xf))
     assert np.isclose(a, b, atol=1e-10, rtol=0)
-
-
-def test_log_prior_density_rejects_inconsistent_theta():
-    hyper = HyperParameters(V=4, H=2, R=2)
-    params, theta = sample_prior(hyper, np.random.default_rng(6))
-    with pytest.raises(ValueError, match="cumprod"):
-        log_prior_density(params, theta * 2.0, hyper)
-    with pytest.raises(ValueError):
-        log_prior_density(params, theta[:, :1], hyper)
-    with pytest.raises(ValueError):
-        log_prior_density(params, -theta, hyper)
 
 
 def test_mixing_weights_prior_support():

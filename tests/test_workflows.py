@@ -1,12 +1,14 @@
-"""Whole CLI workflows run as separate processes.
+"""Whole workflows run as separate processes: the CLI, the README's
+library quick start and the study scripts.
 
 At V=68 with 114 subjects the PG draws of a sweep span several blocks,
-so these runs cover the multi-block sampler end to end. Every process
+so the CLI runs cover the multi-block sampler end to end. Every process
 runs with numeric warnings as errors.
 """
 import csv
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,16 +25,23 @@ ARTIFACTS = ("draws.bin", "draws.csv", "test_report.json", "edges.csv",
 NODE_NAME = 'pre, "central"'
 
 
-def _netmix(cwd, module, *args):
-    """Run `python -m <module> args` in cwd with numeric warnings as errors
-    and this netmix first on the import path."""
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _python(cwd, *args):
+    """Run `python args` in cwd with numeric warnings as errors and this
+    netmix first on the import path."""
     src = str(Path(netmix.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-m", module, *args], cwd=cwd,
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _netmix(cwd, module, *args):
+    _python(cwd, "-m", module, *args)
 
 
 def _analyse(cwd, module, out):
@@ -100,3 +109,31 @@ def test_tables_quote_the_node_name(runs, table):
         rows = list(csv.reader(fh))
     assert {len(row) for row in rows} == {len(rows[0])}
     assert NODE_NAME in rows[1]
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    # the first python block after the README's "Library quick start"
+    block = re.search(r"^## Library quick start.*?^```python\n(.*?)^```",
+                      (REPO / "README.md").read_text(), re.M | re.S)
+    assert block and block.group(1).strip()
+    (tmp_path / "quickstart.py").write_text(block.group(1))
+    _python(tmp_path, "quickstart.py")
+
+
+# tiny sizes, a few seconds in all: the scripts call classify,
+# compute_test_report and fisher_baseline, and no other test imports them
+_STUDY_FLAGS = ["--h", "2", "--r", "1", "--n-iter", "30", "--burn-in", "10",
+                "--thin", "2"]
+
+
+@pytest.mark.parametrize("script,flags", [
+    ("global_power_study.py", ["--v", "8", "--shifts", "0.8", "--sizes", "6",
+                               "--reps", "1"]),
+    ("local_power_study.py", ["--v", "8", "--clique-size", "3", "--reps", "1",
+                              "--n-per-group", "6"]),
+    ("classification_study.py", ["--v", "8", "--reps", "1",
+                                 "--n-per-group", "8"]),
+], ids=["global", "local", "classification"])
+def test_study_script_smoke_run(tmp_path, script, flags):
+    _python(tmp_path, str(REPO / "scripts" / script), "--out",
+            str(tmp_path / "out"), *flags, *_STUDY_FLAGS)
