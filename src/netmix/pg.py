@@ -164,11 +164,12 @@ def _erfcx_erf(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _erfcx(y: np.ndarray, y2: np.ndarray | None = None) -> np.ndarray:
-    """exp(y^2) erfc(y) for a 1-d float64 array y, to a relative error of a
-    few 1e-16 but for the exp(y^2) of a negative y, which inherits the
-    rounding of y^2: a caller that has y^2 rounded less passes it as y2.
-    inf where exp(y^2) overflows (y below about -26.6)."""
+def _erfcx(y: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """exp(y^2) erfc(y) for a 1-d float64 array y, given y2 = y^2, to a
+    relative error of a few 1e-16 but for the exp(y^2) of a negative y,
+    which inherits the rounding of y2 (so a caller computes it from exact
+    inputs where it can); inf where exp(y^2) overflows (y below about
+    -26.6)."""
     a = np.abs(y)
     out = np.empty_like(y)
     i = np.flatnonzero(a < 1.0)
@@ -184,9 +185,8 @@ def _erfcx(y: np.ndarray, y2: np.ndarray | None = None) -> np.ndarray:
     # the reflection erfcx(-x) = 2 exp(x^2) - erfcx(x)
     i = np.flatnonzero(y <= -1.0)
     if i.size:
-        x = np.square(y.take(i)) if y2 is None else y2.take(i)
         with np.errstate(over="ignore"):
-            out[i] = 2.0 * np.exp(x) - out.take(i)
+            out[i] = 2.0 * np.exp(y2.take(i)) - out.take(i)
     return out
 
 
