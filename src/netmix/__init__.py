@@ -11,13 +11,11 @@ from .core import (EdgeIndexMap, MixtureParameters, NetworkObservation,
                    vectorize)
 from .inference import (AugmentedState, CohortData, PosteriorDraws,
                         SamplerConfig, gibbs_sweep, run_chain)
-from .oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
 from .pg import polya_gamma
 from .priors import HyperParameters, sample_prior
 from .testing import (ClassificationResult, TestReport, classify,
-                      compute_test_report, cramers_v, edge_difference,
-                      evaluate_classifier, fisher_baseline, global_test,
-                      local_test, test_degree)
+                      compute_test_report, cramers_v, evaluate_classifier,
+                      fisher_baseline, global_test, test_degree)
 
 __version__ = "0.1.0"
 
@@ -28,11 +26,10 @@ __all__ = [
     "sample_cohort", "sample_joint_cohort", "sample_network", "vectorize",
     "AugmentedState", "CohortData", "PosteriorDraws", "SamplerConfig",
     "gibbs_sweep", "run_chain",
-    "ExactPmfTable", "enumerate_pmf", "exact_cramers_v",
     "polya_gamma",
     "HyperParameters", "sample_prior",
     "ClassificationResult", "TestReport", "classify", "compute_test_report",
-    "cramers_v", "edge_difference", "evaluate_classifier", "fisher_baseline",
-    "global_test", "local_test", "test_degree",
+    "cramers_v", "evaluate_classifier", "fisher_baseline", "global_test",
+    "test_degree",
     "__version__",
 ]

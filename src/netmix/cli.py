@@ -165,7 +165,7 @@ def _cmd_test(args) -> int:
         _check_manifest(args.manifest, draws)
     metadata = None
     if args.metadata is not None:
-        metadata = _load_metadata_checked(args.metadata, draws.meta["V"])
+        metadata = _load_metadata_checked(args.metadata, draws.X.shape[2])
     report = compute_test_report(draws, epsilon=args.epsilon, cutoff=args.cutoff)
     out = Path(args.out_dir)
     dataio.save_test_report(report, out / "test_report.json")

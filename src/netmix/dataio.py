@@ -506,6 +506,8 @@ def _read_header(fh, path) -> tuple[dict, list]:
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
             and isinstance(header.get("arrays"), list)):
         raise ArchiveError(f"{path}: header needs an 'arrays' list and a 'meta' object")
+    if not isinstance(header["meta"].get("sampler", {}), dict):
+        raise ArchiveError(f"{path}: meta 'sampler' must be an object")
     listed = [spec.get("name") if isinstance(spec, dict) else None
               for spec in header["arrays"]]
     if listed != list(_LAYOUTS[version]):

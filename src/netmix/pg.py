@@ -64,8 +64,9 @@ written through erfcx(y) = exp(y^2) erfc(y) their Gaussian factors cancel
 the exponentials around them, leaving q/p in closed form in two erfcx
 values. numpy has no erfcx, so _erfcx evaluates Cephes' rational
 approximations (after Cody 1969) in three ranges, with a reflection for
-negative arguments; this keeps scipy, whose import costs a few hundred
-milliseconds, out of every fit.
+negative arguments, and _exp_branch_prob passes it both arguments of a
+chunk of tilts in one call. This keeps scipy, whose import costs a few
+hundred milliseconds, out of every fit.
 """
 from __future__ import annotations
 
@@ -121,11 +122,9 @@ _ERFCX_TAIL_P = (2.97886665372100240670e0, 7.40974269950448939160e0,
 _ERFCX_TAIL_Q = (3.36907645100081516050e0, 9.60896809063285878198e0,
                  1.70814450747565897222e1, 1.20489539808096656605e1,
                  9.39603524938001434673e0, 2.26052863220117276590e0, 1.0)
-# the branch probability's arguments y-+ = (1 -+ t z) / sqrt(2t); below
-# _Z_ERF every y- lies in (-1, 1] and every y+ in [0, 8)
+# the branch probability's arguments y-+ = (1 -+ t z) / sqrt(2t)
 _Y_AT_0 = 1.0 / np.sqrt(2.0 * _T)
 _Y_SLOPE = _T * _Y_AT_0
-_Z_ERF = (1.0 + np.sqrt(2.0 * _T)) / _T
 # q/p = _Q_SCALE fz (erfcx(y-) + erfcx(y+)): (4/pi) e^{t pi^2/8 - 1/(2t)} / 2
 _Q_SCALE = (2.0 / np.pi) * np.exp(_T * np.pi ** 2 / 8.0 - 0.5 / _T)
 
@@ -190,54 +189,28 @@ def _erfcx(y: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erfcx_pair_sum(z: np.ndarray) -> np.ndarray:
-    """erfcx(y-) + erfcx(y+) for a 1-d array of tilts z.
-
-    Below _Z_ERF, where almost every tilt of a chain lies, the erf route
-    serves every y- and the y+ below 1, and the middle fraction the other
-    y+, in whole-array passes with no index gathers: on a few hundred tilts
-    each numpy call costs more than its arithmetic. The tilts from _Z_ERF
-    on are redone by _erfcx."""
-    tz = z * _Y_SLOPE
-    y = np.empty((2, z.size))
-    np.subtract(_Y_AT_0, tz, out=y[0])
-    np.add(_Y_AT_0, tz, out=y[1])
-    x = np.minimum(y, 1.0)
-    mid = np.maximum(y[1], 1.0)
-    redo = z.max() >= _Z_ERF
-    if redo:  # keeps the passes finite on the entries redone below
-        np.maximum(x, -1.0, out=x)
-        np.minimum(mid, 8.0, out=mid)
-    e = _erfcx_erf(x)
-    s = _fraction(_ERFCX_P, _ERFCX_Q, mid)
-    np.copyto(s, e[1], where=y[1] < 1.0)
-    s += e[0]
-    if redo:
-        # y-+^2 = 1/(2t) -+ z + t z^2 / 2 rounds less than y * y
-        i = np.flatnonzero(z >= _Z_ERF)
-        zi = z.take(i)
-        c = 0.5 / _T + (0.5 * _T) * (zi * zi)
-        e = _erfcx(y.take(i, axis=1).reshape(-1),
-                   np.concatenate([c - zi, c + zi])).reshape(2, -1)
-        s[i] = e[0] + e[1]
-    return s
-
-
 def _exp_branch_prob(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """Probability p of proposing from the exponential (x > t) branch,
     evaluated in chunks of _BLOCK_ENTRIES / 8 tilts to bound its memory.
 
     The left piece's two terms exp(x0 -+ z) Phi(b-+), Phi(b) =
     erfcx(-b/sqrt(2)) exp(-b^2/2) / 2, lose their exponentials to each
-    other: q/p = _Q_SCALE fz (erfcx(y-) + erfcx(y+)). For huge z the
-    erfcx(y-) term, or its product with fz, overflows to inf and p is 0,
-    the correct limit: the mass concentrates left of t."""
+    other: q/p = _Q_SCALE fz (erfcx(y-) + erfcx(y+)). Each chunk's y- and
+    y+ go to _erfcx in one call, with y-+^2 = 1/(2t) -+ z + t z^2 / 2, which
+    rounds less than y * y. For huge z the erfcx(y-) term, or its product
+    with fz, overflows to inf and p is 0, the correct limit: the mass
+    concentrates left of t."""
     zf = z.reshape(-1)
     q_over_p = np.empty(z.shape)
     qf = q_over_p.reshape(-1)
     step = max(1, _BLOCK_ENTRIES // 8)
     for start in range(0, zf.size, step):
-        qf[start:start + step] = _erfcx_pair_sum(zf[start:start + step])
+        zc = zf[start:start + step]
+        tz = zc * _Y_SLOPE
+        c = 0.5 / _T + (0.5 * _T) * (zc * zc)
+        e = _erfcx(np.concatenate([_Y_AT_0 - tz, _Y_AT_0 + tz]),
+                   np.concatenate([c - zc, c + zc])).reshape(2, -1)
+        np.add(e[0], e[1], out=qf[start:start + step])
     with np.errstate(over="ignore"):
         q_over_p *= fz
     q_over_p *= _Q_SCALE

@@ -26,8 +26,6 @@ __all__ = [
     "global_test",
     "cramers_v",
     "cramers_v_from_probs",
-    "local_test",
-    "edge_difference",
     "compute_test_report",
     "test_degree",
     "classify",
@@ -180,8 +178,9 @@ def _edge_log_odds_blocks(draws: PosteriorDraws):
 
 def _edge_functionals(draws: PosteriorDraws,
                       epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """(local_test, edge_difference) of the draws from one pass over the
-    blocks, which both read through the group edge probabilities."""
+    """(exceedance probabilities, mean edge differences) of the draws from
+    one pass over the blocks, which both read through the group edge
+    probabilities."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     exceed = np.zeros(draws.Z.shape[1])
@@ -192,16 +191,6 @@ def _edge_functionals(draws: PosteriorDraws,
         exceed += (rho > epsilon).sum(axis=0)
         diff += (p[:, 1] - p[:, 0]).sum(axis=0)
     return exceed / draws.n_draws, diff / draws.n_draws
-
-
-def local_test(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Posterior probability, per edge, that the association exceeds epsilon."""
-    return _edge_functionals(draws, epsilon)[0]
-
-
-def edge_difference(draws: PosteriorDraws) -> np.ndarray:
-    """Posterior mean of group-1 minus group-0 edge probabilities."""
-    return _edge_functionals(draws, DEFAULT_EPSILON)[1]
 
 
 def compute_test_report(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureParameters, edge_index_map
+from netmix.core import MixtureParameters, edge_index_map
 
 __all__ = ["ExactPmfTable", "enumerate_pmf", "exact_cramers_v"]
 

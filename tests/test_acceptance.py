@@ -17,7 +17,6 @@ from netmix.core import (_component_log_liks, component_log_pmf,
                          sample_cohort, sample_joint_cohort)
 from netmix.inference import (AugmentedState, CohortData, SamplerConfig,
                               gibbs_sweep, run_chain)
-from netmix.oracle import enumerate_pmf, exact_cramers_v
 from netmix.pg import polya_gamma
 from netmix.priors import HyperParameters, sample_prior
 from netmix.synthetic import (clique_difference_truth, null_mixture_truth,
@@ -26,6 +25,8 @@ from netmix.synthetic import (clique_difference_truth, null_mixture_truth,
 from netmix.testing import (classify, compute_test_report, cramers_v,
                             cramers_v_from_probs, evaluate_classifier,
                             fisher_baseline, global_test)
+
+from oracle import enumerate_pmf, exact_cramers_v
 
 
 def _all_edge_vectors(L):

@@ -401,6 +401,27 @@ def test_test_metadata_columns(workspace, tmp_path, capsys):
     assert "fitted model has V=6" in capsys.readouterr().err
 
 
+def test_test_metadata_checked_against_arrays_when_meta_lacks_v(workspace,
+                                                                 tmp_path,
+                                                                 capsys):
+    # the node count comes from the factor arrays, not from the meta
+    draws = load_draws(workspace["archive"])
+    meta = {key: value for key, value in draws.meta.items() if key != "V"}
+    archive = tmp_path / "no-v.bin"
+    save_draws(replace(draws, meta=meta), archive)
+    short = tmp_path / "short.csv"
+    short.write_text("name,hemisphere,lobe\nn1,L,x\n")
+    assert run_cli(["test", "--archive", str(archive), "--metadata",
+                    str(short), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "fitted model has V=6" in err
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(METADATA_6)
+    assert run_cli(["test", "--archive", str(archive), "--metadata",
+                    str(nodes), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def _csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -650,6 +671,20 @@ def test_report_non_finite_test_report(workspace, tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "test_report.json" in err
+    assert not (out / "report.md").exists()
+
+
+def test_report_archive_sampler_not_an_object(workspace, tmp_path, capsys):
+    draws = load_draws(workspace["archive"])
+    archive = tmp_path / "sampler.bin"
+    save_draws(replace(draws, meta={**draws.meta, "sampler": "gibbs"}), archive)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["report", "--out-dir", str(out),
+                    "--archive", str(archive)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'sampler' must be an object" in err
     assert not (out / "report.md").exists()
 
 

@@ -5,9 +5,10 @@ from scipy.special import logit
 
 from netmix.core import (MixtureParameters, conditional_log_pmf,
                          marginal_log_pmf)
-from netmix.oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
 from netmix.priors import HyperParameters, sample_prior
 from netmix.testing import cramers_v
+
+from oracle import ExactPmfTable, enumerate_pmf, exact_cramers_v
 
 
 def _single_component_params(V, pi_value):

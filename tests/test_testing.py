@@ -10,9 +10,8 @@ from netmix.inference import (CohortData, PosteriorDraws, SamplerConfig,
 from netmix.priors import HyperParameters
 from netmix.testing import (ClassificationResult, TestReport, bh_reject,
                             classify, compute_test_report, cramers_v,
-                            cramers_v_from_probs, edge_difference,
-                            evaluate_classifier, fisher_baseline,
-                            fisher_edge_pvalues, global_test, local_test)
+                            cramers_v_from_probs, evaluate_classifier,
+                            fisher_baseline, fisher_edge_pvalues, global_test)
 from netmix.testing import test_degree as flag_degree
 
 # ----------------------------------------------------------- helpers
@@ -119,28 +118,30 @@ def test_cramers_v_of_parameters():
 
 
 def test_local_test_degenerate_cases():
-    gap = _draws_from_params([_gap_params()])
-    assert np.array_equal(local_test(gap, 0.1), np.ones(6))
-    tie = _draws_from_params([_tied_params()])
-    assert np.array_equal(local_test(tie, 0.1), np.zeros(6))
-    mixed = _draws_from_params([_gap_params(), _tied_params()])
-    assert np.array_equal(local_test(mixed, 0.1), np.full(6, 0.5))
+    def exceed(params_list, epsilon):
+        draws = _draws_from_params(params_list)
+        return compute_test_report(draws, epsilon).rho_exceed
+
+    assert np.array_equal(exceed([_gap_params()], 0.1), np.ones(6))
+    assert np.array_equal(exceed([_tied_params()], 0.1), np.zeros(6))
+    assert np.array_equal(exceed([_gap_params(), _tied_params()], 0.1),
+                          np.full(6, 0.5))
     # associations at 0.6 do not clear a larger threshold
-    assert np.array_equal(local_test(gap, 0.7), np.zeros(6))
+    assert np.array_equal(exceed([_gap_params()], 0.7), np.zeros(6))
 
 
 def test_local_test_epsilon_validation():
     draws = _draws_from_params([_gap_params()])
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="epsilon"):
-            local_test(draws, bad)
+            compute_test_report(draws, bad)
 
 
 def test_edge_difference_values():
-    assert np.allclose(edge_difference(_draws_from_params([_gap_params()])),
-                       0.6, atol=1e-12)
-    assert np.allclose(edge_difference(_draws_from_params([_tied_params()])),
-                       0.0, atol=1e-15)
+    gap = compute_test_report(_draws_from_params([_gap_params()]))
+    assert np.allclose(gap.edge_diff, 0.6, atol=1e-12)
+    tie = compute_test_report(_draws_from_params([_tied_params()]))
+    assert np.allclose(tie.edge_diff, 0.0, atol=1e-15)
 
 
 def test_functionals_invariant_to_component_relabeling():
@@ -148,9 +149,10 @@ def test_functionals_invariant_to_component_relabeling():
     swapped = MixtureParameters(Z=p.Z, X=p.X[::-1], lam=p.lam[::-1],
                                 nu=p.nu[:, ::-1].copy(),
                                 pY1=p.pY1, T=p.T)
-    a, b = _draws_from_params([p]), _draws_from_params([swapped])
-    assert np.allclose(local_test(a, 0.1), local_test(b, 0.1), atol=1e-12)
-    assert np.allclose(edge_difference(a), edge_difference(b), atol=1e-12)
+    a = compute_test_report(_draws_from_params([p]), 0.1)
+    b = compute_test_report(_draws_from_params([swapped]), 0.1)
+    assert np.allclose(a.rho_exceed, b.rho_exceed, atol=1e-12)
+    assert np.allclose(a.edge_diff, b.edge_diff, atol=1e-12)
 
 
 def _reference_functionals(draws, cohort, epsilon):
@@ -183,8 +185,9 @@ def test_blocked_functionals_match_per_draw_loop(monkeypatch, block_bytes):
                       SamplerConfig(n_iter=40, burn_in=20, thin=2, seed=5))
     cohort = CohortData.from_observations(obs)
     exceed, diff, probs = _reference_functionals(draws, cohort, 0.1)
-    assert np.array_equal(local_test(draws, 0.1), exceed)
-    assert np.allclose(edge_difference(draws), diff, rtol=0, atol=1e-12)
+    report = compute_test_report(draws, epsilon=0.1)
+    assert np.array_equal(report.rho_exceed, exceed)
+    assert np.allclose(report.edge_diff, diff, rtol=0, atol=1e-12)
     assert np.allclose(classify(draws, cohort).probabilities, probs,
                        rtol=0, atol=1e-12)
 
