@@ -101,7 +101,7 @@ def _cmd_simulate(args) -> int:
     _check_seed(seed)
     truth = builder(V, seed=seed, **options)
     if scenario == "prior":  # a bare parameter draw: no difference truth
-        params, options, truth_summary = truth, {}, {}
+        params, truth_summary = truth, {}
     else:
         params = truth.params
         truth_summary = {

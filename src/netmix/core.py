@@ -73,6 +73,12 @@ def node_count(L: int) -> int:
     return V
 
 
+def _edge_slot(V: int, v, u):
+    """Zero-based linear index of edge (v, u), 1 <= u < v <= V, for ints or
+    int arrays; unchecked and computed from V alone (no V x V table)."""
+    return (u - 1) * V - u * (u - 1) // 2 + (v - u) - 1
+
+
 class EdgeIndexMap:
     """Bijection between node pairs (v, u), v > u, and linear edge indices.
 
@@ -97,8 +103,7 @@ class EdgeIndexMap:
         """Linear index in 1..L of the edge between nodes v and u (1-based)."""
         if not (1 <= u < v <= self.V):
             raise ValueError(f"need 1 <= u < v <= V={self.V}, got (v={v}, u={u})")
-        offset = (u - 1) * self.V - u * (u - 1) // 2
-        return offset + (v - u)
+        return _edge_slot(self.V, v, u) + 1
 
     def edge_pair(self, l: int) -> tuple[int, int]:
         """Node pair (v, u), v > u, of linear edge index l in 1..L."""

@@ -46,8 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _SIMPLEX_TOL, NetworkObservation, edge_index_map, matricize
-from .core import vectorize as vectorize_adjacency
+from .core import _SIMPLEX_TOL, NetworkObservation, _edge_slot, edge_index_map
+from .core import matricize, vectorize as vectorize_adjacency
 from .inference import PosteriorDraws
 from .priors import lam_from_theta
 from .testing import ClassificationResult, TestReport
@@ -270,8 +270,7 @@ def _read_edge_list(path, lines: list[str]) -> np.ndarray:
         i = int(np.argmax(bad))
         raise DataFormatError(
             f"{path}: node pair ({a[i]}, {b[i]}) invalid for V={V}")
-    # zero-based linear index of (v, u), column-wise down the lower triangle
-    edges[(u - 1) * V - u * (u - 1) // 2 + (v - u) - 1] = 1
+    edges[_edge_slot(V, v, u)] = 1
     return edges
 
 
@@ -482,11 +481,11 @@ def _open_archive(path):
         raise ArchiveError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _read_header(fh, path) -> tuple[dict, list]:
-    """(meta, [(name, dtype, shape), ...]) of an archive opened at its
-    start, leaving fh at the first array. Checks the magic, version and
-    array specs, that the file size matches the declared arrays, and that
-    the declared shapes agree with each other and with meta."""
+def _read_header(fh, path) -> tuple[dict, list, dict]:
+    """(meta, [(name, dtype, shape), ...], dims of the shapes) of an archive
+    opened at its start, leaving fh at the first array. Checks the magic,
+    version and array specs, that the file size matches the declared arrays,
+    and that the declared shapes agree with each other and with meta."""
     start = fh.read(len(_MAGIC) + 12)
     if len(start) < len(_MAGIC) + 12 or not start.startswith(_MAGIC):
         raise ArchiveError(f"{path}: not a draws archive")
@@ -528,9 +527,9 @@ def _read_header(fh, path) -> tuple[dict, list]:
         specs.append((name, dtype, tuple(shape)))
     if off != size:
         raise ArchiveError(f"{path}: trailing bytes after arrays")
-    _check_draw_shapes(path, {name: shape for name, _, shape in specs},
-                       header["meta"])
-    return header["meta"], specs
+    dims = _check_draw_shapes(path, {name: shape for name, _, shape in specs},
+                              header["meta"])
+    return header["meta"], specs, dims
 
 
 def _read_arrays(fh, path, specs, names=None) -> dict:
@@ -604,15 +603,15 @@ def _check_draw_values(path, fields: dict) -> None:
 
 
 def load_draws_meta(path) -> dict:
-    """The meta dict of a draws archive. Rejects the same malformed headers
-    as load_draws and reads no array, except that a version 1 archive's
-    theta and lam are read to check lam; array values are checked by
-    load_draws only."""
+    """The meta dict of a draws archive, with V, L, H, R and n from the array
+    shapes. Rejects the same malformed headers as load_draws and reads no
+    array, except that a version 1 archive's theta and lam are read to
+    check lam; array values are checked by load_draws only."""
     with _open_archive(path) as fh:
-        meta, specs = _read_header(fh, path)
+        meta, specs, dims = _read_header(fh, path)
         if any(name == "lam" for name, _, _ in specs):
             _drop_stored_lam(path, _read_arrays(fh, path, specs, ("lam", "theta")))
-    return meta
+    return {**meta, **dims}
 
 
 def load_draws(path) -> PosteriorDraws:
@@ -620,16 +619,16 @@ def load_draws(path) -> PosteriorDraws:
     including ones holding a draw that params_at would reject, raise
     ArchiveError."""
     with _open_archive(path) as fh:
-        meta, specs = _read_header(fh, path)
+        meta, specs, _ = _read_header(fh, path)
         fields = _read_arrays(fh, path, specs)
     _check_draw_values(path, fields)
     _drop_stored_lam(path, fields)
     return PosteriorDraws(meta=meta, **fields)
 
 
-def _check_draw_shapes(path, shapes: dict, meta: dict) -> None:
+def _check_draw_shapes(path, shapes: dict, meta: dict) -> dict:
     """At least one draw, X (K, H, V, R), and every other array shape and
-    every dimension in meta consistent with X."""
+    every dimension in meta consistent with X; returns those dimensions."""
     X, assignments = shapes["X"], shapes["assignments"]
     K, H, V, R = X if len(X) == 4 else (0, 0, 0, 0)
     if min(K, H, R) < 1 or V < 2:
@@ -648,6 +647,7 @@ def _check_draw_shapes(path, shapes: dict, meta: dict) -> None:
     bad = {key: meta[key] for key, value in dims.items() if meta.get(key, value) != value}
     if bad:
         raise ArchiveError(f"{path}: meta {bad} disagrees with the array shapes {dims}")
+    return dims
 
 
 # test report artifacts
@@ -674,16 +674,20 @@ def load_test_report(path) -> TestReport:
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a JSON test report") from exc
     try:
-        return TestReport(
+        report = TestReport(
             pr_H1=payload["pr_H1"],
             rho_exceed=np.asarray(payload["rho_exceed"], dtype=np.float64),
             epsilon=float(payload["epsilon"]),
             edge_diff=np.asarray(payload["edge_diff"], dtype=np.float64),
-            significant_edges=np.asarray(payload["significant_edges"], dtype=bool),
             decision_cutoff=float(payload["decision_cutoff"]),
         )
+        if not np.array_equal(np.asarray(payload["significant_edges"], dtype=bool),
+                              report.significant_edges):
+            raise ValueError("significant edges must be those whose "
+                             "exceedance probability is above the cutoff")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed test report ({exc})") from exc
+    return report
 
 
 def _fmt(x: float) -> str:

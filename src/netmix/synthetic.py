@@ -1,10 +1,10 @@
 """Synthetic ground truths for power studies and calibration checks.
 
-Each builder returns a fully specified MixtureParameters plus the exact
-quantities a study needs to score itself (true per-edge probabilities,
-association coefficients, which edges truly differ). Deviations are built
-from nonnegative rank-one factors, so every truth lies inside the model
-family.
+Each builder returns a fully specified MixtureParameters, from which its
+truth derives what a study needs to score itself (true per-edge
+probabilities, association coefficients, which edges truly differ).
+Deviations are built from nonnegative rank-one factors, so every truth
+lies inside the model family.
 """
 from __future__ import annotations
 
@@ -27,31 +27,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticTruth:
-    """A ground-truth parameter state with its implied summaries."""
+    """A ground-truth parameter state; its summaries are derived on access,
+    different_edges as the 0-based indices where pi0 != pi1."""
 
     params: MixtureParameters
-    pi0: np.ndarray
-    pi1: np.ndarray
-    rho: np.ndarray
-    different_edges: np.ndarray  # 0-based linear indices, may be empty
+
+    @property
+    def pi0(self) -> np.ndarray:
+        return self.params.group_edge_probability(0)
+
+    @property
+    def pi1(self) -> np.ndarray:
+        return self.params.group_edge_probability(1)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return cramers_v(self.params)
+
+    @property
+    def different_edges(self) -> np.ndarray:
+        return np.flatnonzero(self.pi0 != self.pi1)
 
 
-def _finish(params: MixtureParameters, different: np.ndarray) -> SyntheticTruth:
-    return SyntheticTruth(params=params,
-                          pi0=params.group_edge_probability(0),
-                          pi1=params.group_edge_probability(1),
-                          rho=cramers_v(params),
-                          different_edges=np.asarray(different, dtype=np.int64))
-
-
-def _constant_shift_factors(V: int, base: np.ndarray, shift: float):
-    """(Z, X, lam) of two components at log-odds base -/+ shift via a
-    rank-one all-ones deviation (weights must be nonnegative, so Z carries
-    the low side)."""
-    Z = base - shift
-    assert Z.shape == (edge_count(V),)
+def _two_level_truth(V: int, spread: float, shift: float, seed: int,
+                     shared: bool) -> SyntheticTruth:
+    """Components at log-odds c -/+ shift, c drawn per edge in (-spread,
+    spread), via an all-ones deviation of weight 2 shift (weights must be
+    nonnegative, so Z carries the low side); group y is on component y
+    unless the groups share weights."""
+    base = np.random.default_rng(seed).uniform(-spread, spread, edge_count(V))
     X = np.stack([np.zeros((V, 1)), np.ones((V, 1))])
-    return Z, X, np.array([[0.0], [2.0 * shift]])
+    nu, T = (np.full((2, 2), 0.5), 0) if shared else (np.eye(2), 1)
+    return SyntheticTruth(MixtureParameters(
+        Z=base - shift, X=X, lam=np.array([[0.0], [2.0 * shift]]),
+        nu=nu, pY1=0.5, T=T))
 
 
 def shifted_mixture_truth(V: int, shift: float = 1.1, seed: int = 0) -> SyntheticTruth:
@@ -60,23 +69,13 @@ def shifted_mixture_truth(V: int, shift: float = 1.1, seed: int = 0) -> Syntheti
 
     With shift 1.1 the per-edge probability gap is at least ~0.49.
     """
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-0.3, 0.3, edge_count(V))
-    Z, X, lam = _constant_shift_factors(V, base, shift)
-    params = MixtureParameters(Z=Z, X=X, lam=lam,
-                               nu=np.eye(2), pY1=0.5, T=1)
-    return _finish(params, np.arange(edge_count(V)))
+    return _two_level_truth(V, 0.3, shift, seed, shared=False)
 
 
 def null_mixture_truth(V: int, shift: float = 0.8, seed: int = 0) -> SyntheticTruth:
     """Heterogeneous but group-independent truth: both groups draw from the
     same two-component mixture, so every association is exactly zero."""
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-0.3, 0.3, edge_count(V))
-    Z, X, lam = _constant_shift_factors(V, base, shift)
-    params = MixtureParameters(Z=Z, X=X, lam=lam, nu=np.full((2, 2), 0.5),
-                               pY1=0.5, T=0)
-    return _finish(params, np.array([], dtype=np.int64))
+    return _two_level_truth(V, 0.3, shift, seed, shared=True)
 
 
 def clique_difference_truth(V: int, clique_size: int = 5,
@@ -87,7 +86,8 @@ def clique_difference_truth(V: int, clique_size: int = 5,
     group 1; all other edges are identical across groups.
 
     The deviation is exactly rank one (indicator factors scaled by the
-    logit gap), so clique_size k gives k(k-1)/2 truly different edges.
+    logit gap), so clique_size k gives k(k-1)/2 truly different edges
+    when low != high.
     """
     if not (2 <= clique_size <= V):
         raise ValueError(f"clique_size must lie in 2..V, got {clique_size}")
@@ -99,21 +99,15 @@ def clique_difference_truth(V: int, clique_size: int = 5,
     gap = float(_logit(high) - _logit(low))
     X = np.zeros((2, V, 1))
     X[1, :clique_size, 0] = 1.0
-    params = MixtureParameters(Z=Z, X=X, lam=np.array([[0.0], [gap]]),
-                               nu=np.eye(2), pY1=0.5, T=1)
-    return _finish(params, np.flatnonzero(in_clique))
+    return SyntheticTruth(MixtureParameters(
+        Z=Z, X=X, lam=np.array([[0.0], [gap]]), nu=np.eye(2), pY1=0.5, T=1))
 
 
 def separable_truth(V: int, shift: float = 0.9, seed: int = 0) -> SyntheticTruth:
     """Classification truth: the two groups concentrate on two components
     whose edge probabilities differ by roughly expit(c+shift) - expit(c-shift)
     on every edge, enough signal to separate subjects from one network."""
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-0.5, 0.5, edge_count(V))
-    Z, X, lam = _constant_shift_factors(V, base, shift)
-    params = MixtureParameters(Z=Z, X=X, lam=lam,
-                               nu=np.eye(2), pY1=0.5, T=1)
-    return _finish(params, np.arange(edge_count(V)))
+    return _two_level_truth(V, 0.5, shift, seed, shared=False)
 
 
 def rank_one_truth(V: int, weight: float = 1.2, share: float = 0.75,
@@ -132,8 +126,7 @@ def rank_one_truth(V: int, weight: float = 1.2, share: float = 0.75,
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.9, 1.5, size=(V, 1)) * rng.choice([-1.0, 1.0], size=(V, 1))
     Z = rng.uniform(-0.5, 0.5, edge_count(V))
-    params = MixtureParameters(Z=Z, X=np.stack([x, np.zeros((V, 1))]),
-                               lam=np.array([[weight], [0.0]]),
-                               nu=np.tile([share, 1.0 - share], (2, 1)),
-                               pY1=0.5, T=0)
-    return _finish(params, np.array([], dtype=np.int64))
+    return SyntheticTruth(MixtureParameters(
+        Z=Z, X=np.stack([x, np.zeros((V, 1))]),
+        lam=np.array([[weight], [0.0]]),
+        nu=np.tile([share, 1.0 - share], (2, 1)), pY1=0.5, T=0))

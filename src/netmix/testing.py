@@ -45,24 +45,22 @@ class TestReport:
 
     pr_H1 is None when the cohort had a single group (global test
     undefined). rho_exceed[l] is the posterior probability that edge l's
-    association exceeds epsilon; significant_edges is rho_exceed >
-    decision_cutoff, and a report whose flags disagree is refused;
-    edge_diff is the posterior mean difference in group edge
-    probabilities (group 1 minus group 0).
+    association exceeds epsilon, and edge l is flagged (significant_edges)
+    when that probability is above decision_cutoff; edge_diff is the
+    posterior mean difference in group edge probabilities (group 1 minus
+    group 0).
     """
 
     pr_H1: float | None
     rho_exceed: np.ndarray
     epsilon: float
     edge_diff: np.ndarray
-    significant_edges: np.ndarray
     decision_cutoff: float
 
     def __post_init__(self):
         rho = np.asarray(self.rho_exceed, dtype=np.float64)
         diff = np.asarray(self.edge_diff, dtype=np.float64)
-        sig = np.asarray(self.significant_edges, dtype=bool)
-        if not (rho.shape == diff.shape == sig.shape) or rho.ndim != 1:
+        if rho.shape != diff.shape or rho.ndim != 1:
             raise ValueError("per-edge vectors must share one 1-d shape")
         node_count(rho.shape[0])
         if not ((rho >= 0) & (rho <= 1)).all():  # NaN fails both
@@ -73,12 +71,12 @@ class TestReport:
             raise ValueError("epsilon and cutoff must lie in (0, 1)")
         if self.pr_H1 is not None and not (0.0 <= self.pr_H1 <= 1.0):
             raise ValueError("pr_H1 must lie in [0, 1]")
-        if not np.array_equal(sig, rho > self.decision_cutoff):
-            raise ValueError("significant edges must be those whose "
-                             "exceedance probability is above the cutoff")
         object.__setattr__(self, "rho_exceed", rho)
         object.__setattr__(self, "edge_diff", diff)
-        object.__setattr__(self, "significant_edges", sig)
+
+    @property
+    def significant_edges(self) -> np.ndarray:
+        return self.rho_exceed > self.decision_cutoff
 
     @property
     def L(self) -> int:
@@ -97,20 +95,20 @@ class ClassificationResult:
     subject_ids: tuple[str, ...]
     labels: np.ndarray
     probabilities: np.ndarray
-    predicted: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        pred = np.asarray(self.predicted, dtype=np.int8)
-        n = len(self.subject_ids)
-        if not (probs.shape == labels.shape == pred.shape == (n,)):
+        if not (probs.shape == labels.shape == (len(self.subject_ids),)):
             raise ValueError("classification arrays must align with subjects")
         if not ((probs >= 0) & (probs <= 1)).all():  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "predicted", pred)
+
+    @property
+    def predicted(self) -> np.ndarray:
+        return (self.probabilities >= 0.5).astype(np.int8)
 
 
 def global_test(draws: PosteriorDraws) -> float:
@@ -207,8 +205,7 @@ def compute_test_report(draws: PosteriorDraws, epsilon: float = DEFAULT_EPSILON,
     pr = None if single else global_test(draws)
     exceed, diff = _edge_functionals(draws, epsilon)
     return TestReport(pr_H1=pr, rho_exceed=exceed, epsilon=epsilon,
-                      edge_diff=diff, significant_edges=exceed > cutoff,
-                      decision_cutoff=cutoff)
+                      edge_diff=diff, decision_cutoff=cutoff)
 
 
 def test_degree(significant_edges: np.ndarray) -> np.ndarray:
@@ -239,9 +236,7 @@ def classify(draws: PosteriorDraws, data) -> ClassificationResult:
                         + prior_log_odds[sl, None]).sum(axis=0)
     probs /= draws.n_draws
     return ClassificationResult(subject_ids=cohort.subject_ids,
-                                labels=cohort.y.copy(),
-                                probabilities=probs,
-                                predicted=(probs >= 0.5).astype(np.int8))
+                                labels=cohort.y.copy(), probabilities=probs)
 
 
 def evaluate_classifier(result: ClassificationResult) -> tuple[float, float]:

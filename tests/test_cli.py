@@ -96,12 +96,39 @@ def test_simulate_outputs(workspace):
 def test_simulate_prior_scenario(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("scenario = prior\nv = 4\nn0 = 2\nn1 = 3\n"
-                   "h = 2\nr = 1\nseed = 0\n")
+                   "h = 2\nr = 1\nmig_a1 = 3.0\nseed = 0\n")
     assert run_cli(["simulate", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "out")]) == 0
     assert "simulate: wrote 5 subjects (V=4)" in capsys.readouterr().out
     truth = json.loads((tmp_path / "out" / "truth.json").read_text())
     assert "params" in truth and "different_edges" not in truth
+    # the options name the prior the params were drawn from
+    assert truth["options"] == {"h": 2, "r": 1, "mig_a1": 3.0}
+
+
+@pytest.mark.parametrize("scenario,n_different", [
+    ("scenario = shifted", 10), ("scenario = shifted\nshift = 0", 0),
+    ("scenario = null", 0), ("scenario = separable", 10),
+    ("scenario = separable\nshift = 0", 0),
+    ("scenario = clique\nclique_size = 3", 3),
+    ("scenario = clique\nclique_size = 3\nlow = 0.4\nhigh = 0.4", 0),
+    ("scenario = rank1", 0)],
+    ids=["shifted", "shifted-zero", "null", "separable", "separable-zero",
+         "clique", "clique-flat", "rank1"])
+def test_simulate_different_edges_are_where_the_groups_differ(tmp_path, scenario,
+                                                              n_different):
+    # a degenerate truth (shift 0, low == high) has equal groups and so
+    # lists no edge
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{scenario}\nv = 5\nn0 = 2\nn1 = 2\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")]) == 0
+    truth = json.loads((tmp_path / "out" / "truth.json").read_text())
+    differ = np.flatnonzero(np.array(truth["pi0"]) != np.array(truth["pi1"]))
+    assert truth["different_edges"] == (differ + 1).tolist()
+    assert len(truth["different_edges"]) == n_different
+    if n_different == 0:
+        assert truth["rho"] == [0.0] * 10
 
 
 def test_simulate_deterministic_and_seed_flag(tmp_path, workspace):
@@ -420,6 +447,23 @@ def test_test_metadata_checked_against_arrays_when_meta_lacks_v(workspace,
     nodes.write_text(METADATA_6)
     assert run_cli(["test", "--archive", str(archive), "--metadata",
                     str(nodes), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_report_dimensions_come_from_the_arrays_when_meta_lacks_them(
+        workspace, tmp_path):
+    draws = load_draws(workspace["archive"])
+    meta = {key: value for key, value in draws.meta.items()
+            if key not in ("V", "L", "H", "R", "n")}
+    archive = tmp_path / "no-dims.bin"
+    save_draws(replace(draws, meta=meta), archive)
+    assert load_draws(archive).meta == meta
+    out = tmp_path / "out"
+    assert run_cli(["report", "--archive", str(archive), "--out-dir", str(out)]) == 0
+    text = (out / "report.md").read_text()
+    assert "None" not in text
+    assert "- subjects: 14 (group 0: 7, group 1: 7)" in text
+    assert "- nodes: 6, edges: 15" in text
+    assert "- mixture components: 2, rank: 1" in text
 
 
 def _csv_rows(path):

@@ -57,7 +57,6 @@ def _small_draws(seed=0):
 def _report():
     return TestReport(pr_H1=0.9, rho_exceed=np.array([0.97, 0.2, 0.99]),
                       epsilon=0.1, edge_diff=np.array([0.5, -0.25, 0.125]),
-                      significant_edges=np.array([True, False, True]),
                       decision_cutoff=0.95)
 
 
@@ -311,8 +310,7 @@ def test_tables_reject_carriage_returns(tmp_path):
     # the reader turns "\r" into "\n", so such a cell cannot round-trip
     result = ClassificationResult(
         subject_ids=("s1", "a\rb"), labels=np.array([0, 1]),
-        probabilities=np.array([0.125, 0.875]),
-        predicted=np.array([0, 1], dtype=np.int8))
+        probabilities=np.array([0.125, 0.875]))
     meta = (NodeMetadata("pre\rcentral", "L", "x"), NodeMetadata("b", "R", "x"))
     for path, write in [(tmp_path / "pred.csv", lambda p: write_predictions(result, p)),
                         (tmp_path / "deg.csv",
@@ -721,9 +719,7 @@ def test_report_round_trip(tmp_path):
 
 def test_report_round_trip_single_group(tmp_path):
     report = TestReport(pr_H1=None, rho_exceed=np.zeros(3), epsilon=0.1,
-                        edge_diff=np.zeros(3),
-                        significant_edges=np.zeros(3, bool),
-                        decision_cutoff=0.95)
+                        edge_diff=np.zeros(3), decision_cutoff=0.95)
     path = tmp_path / "r.json"
     save_test_report(report, path)
     assert load_test_report(path).pr_H1 is None
@@ -807,8 +803,7 @@ def test_write_difference_matrix_golden(tmp_path):
 def test_write_predictions_golden(tmp_path):
     result = ClassificationResult(
         subject_ids=("s1", "s2"), labels=np.array([0, 1]),
-        probabilities=np.array([0.125, 0.875]),
-        predicted=np.array([0, 1], dtype=np.int8))
+        probabilities=np.array([0.125, 0.875]))
     path = tmp_path / "pred.csv"
     write_predictions(result, path)
     assert path.read_text() == ("subject_id,label,prob_group1,predicted\n"
@@ -879,9 +874,7 @@ def test_render_report_sections():
 
 def test_render_report_single_group_and_empty():
     single = TestReport(pr_H1=None, rho_exceed=np.zeros(3), epsilon=0.1,
-                        edge_diff=np.zeros(3),
-                        significant_edges=np.zeros(3, bool),
-                        decision_cutoff=0.95)
+                        edge_diff=np.zeros(3), decision_cutoff=0.95)
     text = render_report(test_report=single)
     assert "single-group cohort" in text
     assert render_report().strip().endswith("No artifacts found.")

@@ -222,8 +222,7 @@ def test_compute_test_report_cutoff_validation():
 
 def test_test_report_validation():
     ok = dict(pr_H1=0.5, rho_exceed=np.zeros(6), epsilon=0.1,
-              edge_diff=np.zeros(6), significant_edges=np.zeros(6, bool),
-              decision_cutoff=0.95)
+              edge_diff=np.zeros(6), decision_cutoff=0.95)
     TestReport(**ok)
     with pytest.raises(ValueError, match="shape"):
         TestReport(**{**ok, "edge_diff": np.zeros(5)})
@@ -242,22 +241,22 @@ def test_test_report_validation():
         TestReport(**{**ok, "pr_H1": 1.2})
     with pytest.raises(ValueError):
         TestReport(**{**ok, "rho_exceed": np.zeros(7),
-                      "edge_diff": np.zeros(7),
-                      "significant_edges": np.zeros(7, bool)})
+                      "edge_diff": np.zeros(7)})
 
 
-def test_test_report_refuses_flags_that_disagree_with_the_cutoff():
+def test_test_report_flags_the_edges_above_the_cutoff():
     ok = dict(pr_H1=0.5, rho_exceed=np.array([0.1, 0.2, 0.96]), epsilon=0.1,
-              edge_diff=np.zeros(3),
-              significant_edges=np.array([False, False, True]),
-              decision_cutoff=0.95)
-    TestReport(**ok)
-    for flags in ([True, True, True], [False, False, False]):
-        with pytest.raises(ValueError, match="above the cutoff"):
-            TestReport(**{**ok, "significant_edges": np.array(flags)})
+              edge_diff=np.zeros(3), decision_cutoff=0.95)
+    flags = TestReport(**ok).significant_edges
+    assert flags.dtype == bool
+    assert flags.tolist() == [False, False, True]
+    assert TestReport(**{**ok, "decision_cutoff": 0.05}).significant_edges.all()
+    assert not TestReport(**{**ok, "decision_cutoff": 0.99}).significant_edges.any()
     # strict inequality: an exceedance equal to the cutoff is not flagged
-    with pytest.raises(ValueError, match="above the cutoff"):
-        TestReport(**{**ok, "rho_exceed": np.array([0.1, 0.2, 0.95])})
+    report = TestReport(**{**ok, "rho_exceed": np.array([0.1, 0.2, 0.95])})
+    assert not report.significant_edges.any()
+    with pytest.raises(TypeError):
+        TestReport(**ok, significant_edges=np.array([True, True, True]))
 
 
 # -------------------------------------------------------- test degree
@@ -387,8 +386,7 @@ def test_evaluate_classifier_hand_case():
     result = ClassificationResult(
         subject_ids=("a", "b", "c", "d"),
         labels=np.array([0, 0, 1, 1]),
-        probabilities=np.array([0.1, 0.4, 0.35, 0.8]),
-        predicted=np.array([0, 0, 0, 1], dtype=np.int8))
+        probabilities=np.array([0.1, 0.4, 0.35, 0.8]))
     auc, acc = evaluate_classifier(result)
     assert auc == pytest.approx(0.75)
     assert acc == pytest.approx(0.75)
@@ -398,14 +396,12 @@ def test_evaluate_classifier_perfect_and_tied():
     perfect = ClassificationResult(
         subject_ids=("a", "b", "c", "d"),
         labels=np.array([0, 0, 1, 1]),
-        probabilities=np.array([0.1, 0.2, 0.8, 0.9]),
-        predicted=np.array([0, 0, 1, 1], dtype=np.int8))
+        probabilities=np.array([0.1, 0.2, 0.8, 0.9]))
     assert evaluate_classifier(perfect) == (1.0, 1.0)
     tied = ClassificationResult(
         subject_ids=("a", "b", "c", "d"),
         labels=np.array([0, 1, 0, 1]),
-        probabilities=np.full(4, 0.5),
-        predicted=np.ones(4, dtype=np.int8))
+        probabilities=np.full(4, 0.5))
     auc, acc = evaluate_classifier(tied)
     assert auc == pytest.approx(0.5)
     assert acc == pytest.approx(0.5)
@@ -421,7 +417,7 @@ def test_evaluate_classifier_auc_matches_rank_formula():
         probs = rng.integers(0, 8, n) / 7.0  # heavy ties
         result = ClassificationResult(
             subject_ids=tuple(f"s{i}" for i in range(n)), labels=labels,
-            probabilities=probs, predicted=(probs >= 0.5).astype(np.int8))
+            probabilities=probs)
         n1 = int(labels.sum())
         n0 = n - n1
         ranks = rankdata(probs)
@@ -432,8 +428,7 @@ def test_evaluate_classifier_auc_matches_rank_formula():
 def test_evaluate_classifier_one_class_raises():
     result = ClassificationResult(
         subject_ids=("a", "b"), labels=np.array([1, 1]),
-        probabilities=np.array([0.6, 0.7]),
-        predicted=np.array([1, 1], dtype=np.int8))
+        probabilities=np.array([0.6, 0.7]))
     with pytest.raises(ValueError, match="both groups"):
         evaluate_classifier(result)
 
@@ -441,15 +436,25 @@ def test_evaluate_classifier_one_class_raises():
 def test_classification_result_validation():
     with pytest.raises(ValueError, match="align"):
         ClassificationResult(subject_ids=("a", "b"), labels=np.array([0]),
-                             probabilities=np.array([0.5]),
-                             predicted=np.array([0], dtype=np.int8))
+                             probabilities=np.array([0.5]))
     with pytest.raises(ValueError, match="probabilities"):
         ClassificationResult(subject_ids=("a",), labels=np.array([0]),
-                             probabilities=np.array([1.5]),
-                             predicted=np.array([1], dtype=np.int8))
+                             probabilities=np.array([1.5]))
     with pytest.raises(ValueError, match="probabilities"):
         ClassificationResult(subject_ids=("a",), labels=np.array([0]),
-                             probabilities=np.array([np.nan]),
+                             probabilities=np.array([np.nan]))
+
+
+def test_classification_result_predicts_at_one_half():
+    result = ClassificationResult(subject_ids=("a", "b", "c"),
+                                  labels=np.array([0, 1, 1]),
+                                  probabilities=np.array([0.25, 0.5, 0.75]))
+    assert result.predicted.dtype == np.int8
+    assert result.predicted.tolist() == [0, 1, 1]
+    # a label that contradicts its probability cannot be stored
+    with pytest.raises(TypeError):
+        ClassificationResult(subject_ids=("a",), labels=np.array([0]),
+                             probabilities=np.array([0.25]),
                              predicted=np.array([1], dtype=np.int8))
 
 

@@ -1,5 +1,5 @@
 """Whole workflows run as separate processes: the CLI, the README's
-library quick start and the study scripts.
+library quick start and CLI walkthrough, and the study scripts.
 
 At V=68 with 114 subjects the PG draws of a sweep span several blocks,
 so the CLI runs cover the multi-block sampler end to end. Every process
@@ -9,6 +9,7 @@ import csv
 import filecmp
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,16 +29,21 @@ NODE_NAME = 'pre, "central"'
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _python(cwd, *args):
-    """Run `python args` in cwd with numeric warnings as errors and this
-    netmix first on the import path."""
+def _run(cwd, *args) -> str:
+    """Run args in cwd with numeric warnings as errors and this netmix
+    first on the import path; returns the standard output."""
     src = str(Path(netmix.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _python(cwd, *args):
+    _run(cwd, sys.executable, *args)
 
 
 def _netmix(cwd, module, *args):
@@ -118,6 +124,27 @@ def test_readme_library_quick_start_runs(tmp_path):
     assert block and block.group(1).strip()
     (tmp_path / "quickstart.py").write_text(block.group(1))
     _python(tmp_path, "quickstart.py")
+
+
+def test_readme_cli_walkthrough(tmp_path):
+    # the first bash block after the README's "CLI walkthrough", with each
+    # netmix call run as `python -m netmix`; its summary lines must be the
+    # ones the block shows in its "# simulate: ..." comments
+    block = re.search(r"^## CLI walkthrough.*?^```bash\n(.*?)^```",
+                      (REPO / "README.md").read_text(), re.M | re.S)
+    assert block
+    script = re.sub(r"^netmix ", f"{shlex.quote(sys.executable)} -m netmix ",
+                    block.group(1), flags=re.M)
+    summary = re.compile(r"(simulate|fit|test|predict): ")
+    expected = [line[2:] for line in script.splitlines()
+                if line.startswith("# ") and summary.match(line[2:])]
+    assert len(expected) == 4
+    (tmp_path / "walkthrough.sh").write_text(script)
+    printed = _run(tmp_path, "bash", "-euo", "pipefail", "walkthrough.sh")
+    assert [line for line in printed.splitlines()
+            if summary.match(line)] == expected
+    assert re.search(r"^## Classification",
+                     (tmp_path / "analysis" / "report.md").read_text(), re.M)
 
 
 # tiny sizes, a few seconds in all: the scripts call classify,
